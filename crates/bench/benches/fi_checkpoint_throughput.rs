@@ -90,7 +90,7 @@ struct Row {
     injections: u64,
     cold_s: f64,
     warm_s: f64,
-    /// Checkpointed campaign re-timed with `--dispatch legacy` (the
+    /// Checkpointed campaign re-timed on the legacy oracle loop (the
     /// tree-walking loop) — the decoded-dispatch A/B column.
     legacy_s: f64,
     sched_retries_off_s: f64,
@@ -442,19 +442,17 @@ fn main() {
         // decoded-vs-legacy dispatch A/B on the same checkpointed
         // campaign, with its own equivalence gate: the two loops must
         // produce identical reports before a speedup means anything.
-        let legacy_cfg = CampaignConfigBuilder::new(42)
-            .per_inst_injections(injections() as u64)
-            .expect("positive injection count")
-            .dispatch("legacy")
-            .expect("valid dispatch mode")
-            .build();
-        let g_legacy = golden_run(&module, &input, &legacy_cfg).expect("golden run");
-        let legacy = per_instruction_campaign(&module, &input, &g_legacy, &legacy_cfg);
+        // The legacy loop is the test oracle, routed to process-wide
+        // for the duration of the A column.
+        minpsid_interp::oracle::route_all(true);
+        let g_legacy = golden_run(&module, &input, &warm_cfg).expect("golden run");
+        let legacy = per_instruction_campaign(&module, &input, &g_legacy, &warm_cfg);
         assert_eq!(
             legacy.sdc_prob, warm.sdc_prob,
             "{name}: legacy dispatch diverged from decoded dispatch"
         );
-        let legacy_s = time_campaign(&module, &input, &g_legacy, &legacy_cfg);
+        let legacy_s = time_campaign(&module, &input, &g_legacy, &warm_cfg);
+        minpsid_interp::oracle::route_all(false);
         let total_injections: u64 = warm.counts.iter().map(|c| c.total()).sum();
 
         // scheduler overhead: the same checkpointed campaign with the

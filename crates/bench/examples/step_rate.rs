@@ -1,5 +1,6 @@
-//! Quick step-rate probe: golden decoded vs legacy steps/sec on hpccg.
-use minpsid_interp::{DispatchMode, ExecConfig, Interp};
+//! Quick step-rate probe: golden decoded vs legacy (oracle) steps/sec on
+//! hpccg.
+use minpsid_interp::{oracle, ExecConfig, Interp};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -7,17 +8,9 @@ fn main() {
     let b = minpsid_workloads::by_name("hpccg").unwrap();
     let module = b.compile();
     let input = b.model.materialize(&b.model.reference());
-    for (name, dispatch) in [
-        ("legacy ", DispatchMode::Legacy),
-        ("decoded", DispatchMode::Decoded),
-    ] {
-        let interp = Interp::new(
-            &module,
-            ExecConfig {
-                dispatch,
-                ..ExecConfig::default()
-            },
-        );
+    let interp = Interp::new(&module, ExecConfig::default());
+    for (name, legacy) in [("legacy ", true), ("decoded", false)] {
+        oracle::route_all(legacy);
         let steps = interp.run(&input).steps;
         let mut best = f64::INFINITY;
         for _ in 0..5 {
@@ -31,4 +24,5 @@ fn main() {
             steps as f64 / best / 1e6
         );
     }
+    oracle::route_all(false);
 }

@@ -348,9 +348,6 @@ FI campaign options (fi/analyze/sid/minpsid):
   --snapshot-mode MODE      checkpoint encoding: `delta` (dirty-range
                             diffs with periodic keyframes, the default)
                             or `full` (self-contained snapshots)
-  --dispatch MODE           interpreter loop: `decoded` (pre-decoded
-                            dispatch, the default) or `legacy` (the
-                            tree-walking oracle); results are identical
   --injection-timeout-ms N  per-injection wall-clock budget alongside the
                             step limit (0 = off, the default); overruns
                             classify as engine errors, not hangs
@@ -420,9 +417,11 @@ incremental re-campaigns (fi/minpsid, needs --store or --journal):
   --incremental             memoize sealed per-section outcome tables in
                             the store and serve them on later runs, so a
                             re-campaign after an edit re-executes only
-                            the touched functions (default when a store
-                            is attached)
-  --no-incremental          always re-execute every injection
+                            the touched functions. Opt-in and unsound
+                            for now: an edit to code that runs after a
+                            faulted section can serve stale outcomes
+                            (a warning is printed)
+  --no-incremental          always re-execute every injection (default)
 
 live observability:
   --status-addr ADDR        serve /metrics (Prometheus text) and /status
@@ -659,15 +658,24 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
 
 /// `--incremental` / `--no-incremental`: memoize sealed per-section
 /// outcome tables in the artifact store and serve them on later runs.
-/// Default *on* whenever a store is attached (the flag is a no-op
-/// without one), so `--no-incremental` is the escape hatch.
+/// Opt-in, with a warning: a table is keyed on its section's code, its
+/// callees and the golden run, not on the code a faulty run executes
+/// *after* the section, so an edit there can serve stale outcomes that a
+/// from-scratch campaign would not report. `--no-incremental` is the
+/// default and stays accepted.
 fn parse_incremental(rest: &[String]) -> Result<bool, String> {
     let on = rest.iter().any(|a| a == "--incremental");
     let off = rest.iter().any(|a| a == "--no-incremental");
     if on && off {
         return Err("--incremental and --no-incremental are mutually exclusive".into());
     }
-    Ok(!off)
+    if on {
+        eprintln!(
+            "warning: --incremental may serve stale section tables after an edit to code \
+             that runs after a faulted section; results can differ from a from-scratch campaign"
+        );
+    }
+    Ok(on)
 }
 
 /// One stderr line of section-table usage, the incremental analogue of
@@ -1918,19 +1926,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_and_dispatch_flags_parse() {
-        use minpsid_faultsim::{DispatchMode, SnapshotMode};
+    fn snapshot_mode_flag_parses() {
+        use minpsid_faultsim::SnapshotMode;
         let def = parse_campaign(&args(&[])).unwrap();
         assert_eq!(def.snapshot_mode, SnapshotMode::Delta);
-        assert_eq!(def.exec.dispatch, DispatchMode::Decoded);
 
         let full = parse_campaign(&args(&["--snapshot-mode", "full"])).unwrap();
         assert_eq!(full.snapshot_mode, SnapshotMode::Full);
-        let legacy = parse_campaign(&args(&["--dispatch", "legacy"])).unwrap();
-        assert_eq!(legacy.exec.dispatch, DispatchMode::Legacy);
 
         assert!(parse_campaign(&args(&["--snapshot-mode", "none"])).is_err());
-        assert!(parse_campaign(&args(&["--dispatch", "jit"])).is_err());
     }
 
     #[test]

@@ -210,8 +210,11 @@ pub fn golden_run(
                 keyframe_every: cfg.keyframe_every,
             };
             let (r2, store) = Interp::new(module, exec).run_with_checkpoint_store(input, ck_cfg);
-            debug_assert_eq!(r2.output, r.output, "checkpointed replay diverged");
-            debug_assert_eq!(r2.steps, r.steps);
+            // the two passes run different observer instantiations of
+            // the loop; every resumed injection trusts the checkpoints,
+            // so a divergence must stop the campaign in release builds
+            assert_eq!(r2.output, r.output, "checkpointed golden pass diverged");
+            assert_eq!(r2.steps, r.steps, "checkpointed golden pass diverged");
             store
         }
         None => CheckpointStore::default(),

@@ -1,12 +1,12 @@
-//! Pre-decoded dispatch: the campaign hot path.
+//! Pre-decoded dispatch: the interpreter loop every run executes.
 //!
-//! The legacy interpreter loop ([`Interp::run`]'s `run_inner`) re-derives
-//! everything per step from the IR: frame → function → block → inst-id →
-//! inst → dense index is a chain of six dependent loads before the opcode
-//! match even starts. Fault-injection campaigns execute that loop billions
-//! of times on replayed suffixes, so [`Interp::new`] lowers the module once
-//! into a flat [`DecodedModule`]: one contiguous `Vec<DInst>` per function,
-//! indexed by a single program counter, with
+//! A tree-walking loop over the IR (kept as the test oracle in
+//! `oracle.rs`) re-derives everything per step: frame → function →
+//! block → inst-id → inst → dense index is a chain of six dependent loads
+//! before the opcode match even starts. Fault-injection campaigns execute
+//! the loop billions of times on replayed suffixes, so [`Interp::new`]
+//! lowers the module once into a flat [`DecodedModule`]: one contiguous
+//! `Vec<DInst>` per function, indexed by a single program counter, with
 //!
 //! * operands pre-resolved to dense register indices or immediate values
 //!   ([`Opd`]) — no `Operand::Value(id)` indirection at run time;
@@ -16,26 +16,31 @@
 //!   operands (`BinII`, `CmpFF`, …), falling back to the generic pair
 //!   match when types are mixed or unknown. Specialized ops still verify
 //!   the runtime variant, so semantics — including every trap — are
-//!   bit-identical to the legacy tree walk;
-//! * the two hottest adjacent pairs fused into superinstructions:
+//!   bit-identical to the tree walk;
+//! * hot adjacent windows fused into superinstructions, e.g.
 //!   cmp+cond-branch ([`DOp::CmpBr`]) and load+binop ([`DOp::LoadBin`]).
+//!
+//! Golden, profiling, tracing and checkpointing runs execute this same
+//! loop with observers attached as a type parameter (see
+//! `observe.rs`); campaign runs attach none.
 //!
 //! ## Superinstruction layout and snapshot resume
 //!
-//! Fusion must not disturb the pc ↔ (block, pos) mapping, because legacy
-//! snapshots store frame positions in (block, pos) form and a resumed run
-//! may land *between* the two halves of a pair. So a fused pair emits the
-//! superinstruction at the first instruction's pc **and** a standalone
-//! copy of the second instruction at the second pc; block lengths are
-//! unchanged and `pc = block_entry[block] + pos` stays plain arithmetic.
-//! The fused op advances the pc by 2; only a snapshot resume ever enters
-//! the standalone copy. Jump targets are always block starts, so no branch
-//! can land inside a pair.
+//! Fusion must not disturb the pc ↔ (block, pos) mapping, because
+//! snapshots store frame positions in (block, pos) form and a capture or
+//! a resumed run may land *between* the two halves of a pair. So a fused
+//! pair emits the superinstruction at the first instruction's pc **and**
+//! a standalone copy of the second instruction at the second pc; block
+//! lengths are unchanged and `pc = block_entry[block] + pos` stays plain
+//! arithmetic. The fused op advances the pc by 2; only a snapshot resume
+//! ever enters the standalone copy. Jump targets are always block starts,
+//! so no branch can land inside a pair.
 //!
-//! Fused ops replicate the legacy per-instruction sequence for *each*
-//! half: step increment, step-limit check, deadline poll, operand traps,
-//! injection counting, fault application, register write — in that order —
-//! so step counts, injection indices and trap points are bit-identical.
+//! Fused ops replicate the tree walk's per-instruction sequence for
+//! *each* half: step increment, step-limit check, deadline poll, operand
+//! traps, injection counting, fault application, register write — in that
+//! order — so step counts, injection indices and trap points are
+//! bit-identical.
 //!
 //! ## The scratch arena
 //!
@@ -47,13 +52,13 @@
 //! allocation, which is what makes per-worker scratch pay off in
 //! campaigns (see `CampaignEngine`).
 //!
-//! [`Interp::run`]: crate::Interp::run
 //! [`Interp::new`]: crate::Interp::new
 
 use crate::exec::{
     bit_equal, cmp_ord, ExecResult, Interp, MachineState, Termination, TrapKind, STACK_TAG,
 };
 use crate::fault::{flip_bit, FaultSpec, FaultTarget};
+use crate::observe::{Live, Observe};
 use crate::value::{Scalar, Stream, Value};
 use minpsid_ir::{BinOp, CmpOp, Function, InstKind, Module, Operand, Ty, UnOp};
 
@@ -615,7 +620,7 @@ impl DOp {
 }
 
 /// One decoded instruction slot: the op plus the static per-instruction
-/// metadata the legacy loop looked up per step.
+/// metadata the tree walk looks up per step.
 #[derive(Debug, Clone)]
 pub(crate) struct DInst {
     pub(crate) op: DOp,
@@ -632,7 +637,7 @@ pub(crate) struct DFunc {
     pub(crate) code: Vec<DInst>,
     /// `pc_of(block, pos) = block_entry[block] + pos`: every instruction
     /// keeps its own slot (fusion emits a standalone second-half copy),
-    /// so the mapping from legacy frame positions is plain arithmetic.
+    /// so the mapping from canonical frame positions is plain arithmetic.
     pub(crate) block_entry: Vec<u32>,
     /// Frame arena size: instruction count plus `consts.len()`. The
     /// first `num_regs - consts.len()` slots are registers, the tail
@@ -696,9 +701,9 @@ impl ExecScratch {
         });
     }
 
-    /// Convert the restored legacy frames in `self.st` into decoded
-    /// frames (a snapshot-resume entry point). The legacy frames stay in
-    /// `st` untouched; the decoded run never reads them.
+    /// Convert the restored canonical frames in `self.st` into decoded
+    /// frames (a snapshot-resume entry point). The canonical frames stay
+    /// in `st` untouched; the decoded run never reads them.
     pub(crate) fn enter_decoded(&mut self, dm: &DecodedModule) {
         self.dframes.clear();
         self.regs.clear();
@@ -709,7 +714,7 @@ impl ExecScratch {
             let pc = df.block_entry[f.block.index()] + f.pos as u32;
             let reg_base = self.regs.len();
             let arg_base = self.args.len();
-            // legacy frames carry register slots only; re-materialize
+            // canonical frames carry register slots only; re-materialize
             // the const tail the decoded arena layout expects
             self.regs.extend_from_slice(&f.regs);
             self.regs.extend_from_slice(&df.consts);
@@ -1621,31 +1626,37 @@ fn decode_inst(
     }
 }
 
-/// The decoded hot loop. Semantics (including step accounting, trap
+/// The interpreter loop. Semantics (including step accounting, trap
 /// points, injection ordering and fault application) are bit-identical to
-/// the legacy `run_inner`; the profile, trace and checkpoint observers are
-/// deliberately absent — runs needing them route to the legacy loop.
+/// the legacy tree walk kept as the test oracle; the profile, trace and
+/// checkpoint observers ride along as the `O` parameter (see
+/// `observe.rs`), which campaign runs instantiate as the no-op
+/// observer.
 ///
-/// The loop is monomorphized twice via `exec_loop::<ARMED>`: the *armed*
-/// variant carries the injection counters and the fault-fire check, the
-/// *clean* variant strips every per-step fault cost. A faulty run executes
-/// armed only up to the flip, then finishes clean; a golden run is clean
-/// from the first step. Nothing observes the injection counters after the
-/// fault has fired (checkpointing runs use the legacy loop), so dropping
-/// them mid-run is invisible.
-pub(crate) fn run_decoded(
+/// The loop is monomorphized per `exec_loop::<ARMED, O>`: the *armed*
+/// variant carries the fault-fire check, the *clean* variant strips every
+/// per-step fault cost. A faulty run executes armed only up to the flip,
+/// then finishes clean; a golden run is clean from the first step. The
+/// clean no-op-observer variant also stops counting injections — nothing
+/// reads the counters of a campaign run after its fault has fired — while
+/// observed variants keep counting them for the profile and checkpoints.
+pub(crate) fn run_decoded<O: Observe>(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
     input: &crate::value::ProgInput,
     fault: Option<FaultSpec>,
+    obs: &mut O,
 ) -> ExecResult {
     let resumed_at = (scratch.st.steps > 0).then_some(scratch.st.steps);
+    if O::ON {
+        obs.begin(&scratch.dframes, scratch.st.steps);
+    }
     if fault.is_some() && !scratch.st.fault_applied {
-        if let Some(r) = exec_loop::<true>(interp, scratch, input, fault, resumed_at) {
+        if let Some(r) = exec_loop::<true, O>(interp, scratch, input, fault, resumed_at, obs) {
             return r;
         }
     }
-    exec_loop::<false>(interp, scratch, input, fault, resumed_at)
+    exec_loop::<false, O>(interp, scratch, input, fault, resumed_at, obs)
         .expect("the clean loop always runs to a termination")
 }
 
@@ -1654,12 +1665,13 @@ pub(crate) fn run_decoded(
 /// additionally returns `None` at the first instruction boundary after
 /// the fault fires, with the current frame's pc synced back into the
 /// scratch so the clean variant can pick up mid-run.
-fn exec_loop<const ARMED: bool>(
+fn exec_loop<const ARMED: bool, O: Observe>(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
     input: &crate::value::ProgInput,
     fault: Option<FaultSpec>,
     resumed_at: Option<u64>,
+    obs: &mut O,
 ) -> Option<ExecResult> {
     let dm = interp.decoded();
     let step_limit = interp.config().step_limit;
@@ -1737,11 +1749,23 @@ fn exec_loop<const ARMED: bool>(
         None => u64::MAX,
         Some(intervals) => (intervals + 1) * sample_every,
     };
-    let mut next_pause = next_pause_after(steps_l).min(next_sample);
-    macro_rules! finish {
-        ($term:expr, $ret:expr) => {{
+    // the next checkpoint capture, folded into the same compare: due
+    // before the step after `next_capture()` steps have completed; never
+    // for the no-op observer
+    let mut capture_pause = if O::ON {
+        obs.next_capture().saturating_add(1)
+    } else {
+        u64::MAX
+    };
+    let mut next_pause = next_pause_after(steps_l)
+        .min(next_sample)
+        .min(capture_pause);
+    // `$counted` is false when the last ticked instruction never executed
+    // (the step limit or deadline stopped it in `tick!`)
+    macro_rules! finish_as {
+        ($term:expr, $ret:expr, $counted:expr) => {{
             *steps = steps_l;
-            return Some(ExecResult {
+            let mut r = ExecResult {
                 termination: $term,
                 output: std::mem::take(output),
                 profile: None,
@@ -1750,37 +1774,66 @@ fn exec_loop<const ARMED: bool>(
                 ret: $ret,
                 trace: None,
                 resumed_at,
-            });
+            };
+            if O::ON {
+                obs.finish(interp, dframes, *inj_ctr, $counted, &mut r);
+            }
+            return Some(r);
         }};
+    }
+    macro_rules! finish {
+        ($term:expr, $ret:expr) => {
+            finish_as!($term, $ret, true)
+        };
     }
     macro_rules! trap {
         ($kind:expr) => {
             finish!(Termination::Trap($kind), None)
         };
     }
-    // legacy per-step prologue: increment, limit check, coarse deadline
-    // poll, profiler sample — all behind the one folded compare. `$di` is
-    // the carrying instruction, so fused halves attribute their sample to
-    // the superinstruction.
+    // legacy per-step prologue: checkpoint capture, increment, limit
+    // check, coarse deadline poll, profiler sample — all behind the one
+    // folded compare. `$di` is the carrying instruction, so fused halves
+    // attribute their sample to the superinstruction.
     macro_rules! tick {
         ($di:expr) => {
             steps_l += 1;
             if steps_l >= next_pause {
-                // cold: the limit expired, a deadline poll is due, or a
-                // profiler sample is due
+                // cold: a capture is due, the limit expired, a deadline
+                // poll is due, or a profiler sample is due. The capture
+                // sees the state before this step, as legacy captures
+                // between instructions.
+                if O::ON && steps_l >= capture_pause {
+                    obs.capture(
+                        dm,
+                        &Live {
+                            frames: dframes,
+                            regs,
+                            args,
+                            mem,
+                            stack_mem,
+                            output: &output.items,
+                            steps: steps_l - 1,
+                            inj_ctr: *inj_ctr,
+                        },
+                    );
+                    capture_pause = obs.next_capture().saturating_add(1);
+                }
                 if steps_l > step_limit {
-                    finish!(Termination::StepLimit, None);
+                    finish_as!(Termination::StepLimit, None, false);
                 }
                 if let Some(d) = deadline {
                     if std::time::Instant::now() >= d {
-                        finish!(Termination::WallClock, None);
+                        finish_as!(Termination::WallClock, None, false);
                     }
                 }
                 if steps_l >= next_sample {
                     crate::opprof::record($di.op.index());
                     next_sample = ((steps_l / sample_every) + 1) * sample_every;
                 }
-                next_pause = next_pause_after(steps_l).min(next_sample);
+                next_pause = next_pause_after(steps_l)
+                    .min(next_sample)
+                    .min(capture_pause);
             }
         };
     }
@@ -1856,26 +1909,29 @@ fn exec_loop<const ARMED: bool>(
     }
     // fault application + injection counting + register write for one
     // produced value; evaluates to the (possibly flipped) value. The
-    // clean variant compiles down to the bare register write.
+    // clean no-op-observer variant compiles down to the bare register
+    // write.
     macro_rules! produce {
         ($dense:expr, $inj:expr, $dst:expr, $v:expr) => {{
             let mut v = $v;
-            if ARMED && $inj {
-                let fire = match target_dense {
-                    Some(td) => {
-                        if td == $dense {
-                            let hit = *per_inst_ctr == target_nth;
-                            *per_inst_ctr += 1;
-                            hit
-                        } else {
-                            false
+            if (ARMED || O::ON) && $inj {
+                if ARMED {
+                    let fire = match target_dense {
+                        Some(td) => {
+                            if td == $dense {
+                                let hit = *per_inst_ctr == target_nth;
+                                *per_inst_ctr += 1;
+                                hit
+                            } else {
+                                false
+                            }
                         }
+                        None => *inj_ctr == whole_nth,
+                    };
+                    if fire && !*fault_applied {
+                        *fault_applied = true;
+                        v = flip_bit(v, fault_bit);
                     }
-                    None => *inj_ctr == whole_nth,
-                };
-                if fire && !*fault_applied {
-                    *fault_applied = true;
-                    v = flip_bit(v, fault_bit);
                 }
                 *inj_ctr += 1;
             }
@@ -1885,7 +1941,25 @@ fn exec_loop<const ARMED: bool>(
             unsafe {
                 *regs.get_unchecked_mut(reg_base + $dst as usize) = v;
             }
+            if O::ON {
+                obs.produced($dense, $inj, v);
+            }
             v
+        }};
+    }
+    // control transfer to `$target` by the branch half at `pc + $half`
+    // (0 for a standalone branch) in direction `$dir` (0 = then or
+    // unconditional, 1 = else)
+    macro_rules! jump {
+        ($half:expr, $dir:expr, $target:expr) => {{
+            let target: u32 = $target;
+            if O::ON {
+                // SAFETY: fusion keeps a standalone copy of every half
+                // at its own pc inside the carrier's block
+                let site = unsafe { code.get_unchecked(pc + $half) }.dense;
+                obs.jump(site, $dir, target, steps_l);
+            }
+            pc = target as usize;
         }};
     }
     macro_rules! bin_ii {
@@ -2174,7 +2248,9 @@ fn exec_loop<const ARMED: bool>(
                     let v = raw!(a);
                     args.push(v);
                 }
-                dframes.last_mut().unwrap().pc = pc as u32; // stay at the call
+                let caller = dframes.last_mut().unwrap();
+                caller.pc = pc as u32; // stay at the call
+                let caller_func = caller.func;
                 let callee = *callee as usize;
                 let cf = &dm.funcs[callee];
                 let new_reg_base = regs.len();
@@ -2196,6 +2272,9 @@ fn exec_loop<const ARMED: bool>(
                 reg_base = new_reg_base;
                 arg_base = new_arg_base;
                 arg_len = cargs.len();
+                if O::ON {
+                    obs.call(caller_func, callee as u32, pc as u32, steps_l);
+                }
             }
             DOp::NArgs => {
                 produce!(di.dense, di.inj, di.dst, Value::I(input.args.len() as i64));
@@ -2285,11 +2364,11 @@ fn exec_loop<const ARMED: bool>(
                 pc += 1;
             }
             DOp::Br { target } => {
-                pc = *target as usize;
+                jump!(0, 0, *target);
             }
             DOp::CondBr { c, t, e } => {
                 let cv = boolean!(c);
-                pc = if cv { *t } else { *e } as usize;
+                jump!(0, usize::from(!cv), if cv { *t } else { *e });
             }
             DOp::Ret { v } => {
                 let rv = match v {
@@ -2302,6 +2381,9 @@ fn exec_loop<const ARMED: bool>(
                 args.truncate(finished.arg_base);
                 match dframes.last() {
                     None => {
+                        if O::ON {
+                            obs.ret(finished.func, 0, steps_l);
+                        }
                         finish!(Termination::Exit, rv);
                     }
                     Some(&caller) => {
@@ -2318,6 +2400,9 @@ fn exec_loop<const ARMED: bool>(
                             produce!(call.dense, call.inj, call.dst, v);
                         }
                         pc += 1;
+                        if O::ON {
+                            obs.ret(finished.func, pc as u32, steps_l);
+                        }
                     }
                 }
             }
@@ -2354,7 +2439,7 @@ fn exec_loop<const ARMED: bool>(
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
                 tick!(di);
-                pc = if cv { *t } else { *e } as usize;
+                jump!(1, usize::from(!cv), if cv { *t } else { *e });
             }
             DOp::Load4 {
                 ops,
@@ -2511,7 +2596,7 @@ fn exec_loop<const ARMED: bool>(
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
                 tick!(di);
-                pc = if cv { *t } else { *e } as usize;
+                jump!(2, usize::from(!cv), if cv { *t } else { *e });
             }
             DOp::BinLoad {
                 op,
@@ -2591,7 +2676,7 @@ fn exec_loop<const ARMED: bool>(
                 store_word!(ptr, idx, v);
                 // branch half: control-only
                 tick!(di);
-                pc = *target as usize;
+                jump!(1, 0, *target);
             }
             DOp::StoreLoad {
                 ptr1,
@@ -2626,7 +2711,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // branch half: control-only
                 tick!(di);
-                pc = *target as usize;
+                jump!(1, 0, *target);
             }
             DOp::BinBin {
                 op1,
@@ -2734,7 +2819,7 @@ fn exec_loop<const ARMED: bool>(
                 store_word!(ptr, idx, v);
                 // branch half: control-only
                 tick!(di);
-                pc = *target as usize;
+                jump!(2, 0, *target);
             }
             DOp::LoadLoadBin {
                 ty1,
@@ -2912,7 +2997,7 @@ fn exec_loop<const ARMED: bool>(
                 store_word!(st_ptr, st_idx, st_v);
                 // branch half: control-only
                 tick!(di);
-                pc = *target as usize;
+                jump!(3, 0, *target);
             }
             DOp::LoadLoadBinStoreBr {
                 ty1,
@@ -2969,7 +3054,7 @@ fn exec_loop<const ARMED: bool>(
                 }
                 // branch half: control-only
                 tick!(di);
-                pc = *target as usize;
+                jump!(4, 0, *target);
             }
             DOp::LoadLoadBinBinStore {
                 ty1,

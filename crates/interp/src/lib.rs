@@ -27,16 +27,17 @@
 pub mod decode;
 pub mod exec;
 pub mod fault;
+mod observe;
 pub mod opprof;
+#[cfg(any(test, feature = "legacy-oracle"))]
+pub mod oracle;
 pub mod profile;
 pub mod snapshot;
 pub mod value;
 pub mod wire;
 
 pub use decode::ExecScratch;
-pub use exec::{
-    DispatchMode, ExecConfig, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind,
-};
+pub use exec::{ExecConfig, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind};
 pub use fault::{flip_bit, FaultSpec, FaultTarget};
 pub use opprof::InterpProfileReport;
 pub use profile::Profile;

@@ -352,15 +352,62 @@ fn apply_frames(dst: &mut Vec<Frame>, d: &FramesDelta) {
     }
 }
 
-fn encode_delta(prev: &Snapshot, st: &MachineState, inj_counts: &[u64]) -> SnapDelta {
-    debug_assert!(prev.state.output.items.len() <= st.output.items.len());
+/// Borrowed view of the machine state a checkpoint records. Golden runs
+/// capture through it: the legacy loop views its [`MachineState`], the
+/// decoded loop assembles one from its arenas without building a
+/// `MachineState` at all. The armed-fault fields are implied: a golden
+/// run has no armed target and never applies a fault.
+pub(crate) struct StateRef<'a> {
+    pub(crate) frames: &'a [Frame],
+    pub(crate) mem: &'a [u64],
+    pub(crate) stack_mem: &'a [u64],
+    pub(crate) output: &'a [OutputItem],
+    pub(crate) steps: u64,
+    pub(crate) inj_ctr: u64,
+}
+
+impl StateRef<'_> {
+    fn to_state(&self) -> MachineState {
+        let mut st = MachineState::default();
+        self.write_into(&mut st);
+        st
+    }
+
+    /// [`StateRef::to_state`] into an existing state, reusing its buffers.
+    fn write_into(&self, st: &mut MachineState) {
+        self.frames.clone_into(&mut st.frames);
+        self.mem.clone_into(&mut st.mem);
+        self.stack_mem.clone_into(&mut st.stack_mem);
+        self.output.clone_into(&mut st.output.items);
+        st.steps = self.steps;
+        st.inj_ctr = self.inj_ctr;
+        st.per_inst_ctr = 0;
+        st.fault_applied = false;
+    }
+}
+
+impl MachineState {
+    pub(crate) fn view(&self) -> StateRef<'_> {
+        StateRef {
+            frames: &self.frames,
+            mem: &self.mem,
+            stack_mem: &self.stack_mem,
+            output: &self.output.items,
+            steps: self.steps,
+            inj_ctr: self.inj_ctr,
+        }
+    }
+}
+
+fn encode_delta(prev: &Snapshot, st: &StateRef, inj_counts: &[u64]) -> SnapDelta {
+    debug_assert!(prev.state.output.items.len() <= st.output.len());
     SnapDelta {
-        frames: frames_delta(&prev.state.frames, &st.frames),
-        mem: diff_words(&prev.state.mem, &st.mem),
+        frames: frames_delta(&prev.state.frames, st.frames),
+        mem: diff_words(&prev.state.mem, st.mem),
         mem_len: st.mem.len(),
-        stack: diff_words(&prev.state.stack_mem, &st.stack_mem),
+        stack: diff_words(&prev.state.stack_mem, st.stack_mem),
         stack_len: st.stack_mem.len(),
-        out_tail: st.output.items[prev.state.output.items.len()..].to_vec(),
+        out_tail: st.output[prev.state.output.items.len()..].to_vec(),
         inj: encode_inj(&prev.inj_counts, inj_counts),
     }
 }
@@ -429,14 +476,12 @@ impl CheckpointCollector {
         }
     }
 
-    /// True when the machine has completed enough steps for the next
-    /// capture. Checked between instructions.
-    #[inline]
-    pub(crate) fn due(&self, steps: u64) -> bool {
-        steps >= self.next_at
+    /// Steps completed at which the next capture is due.
+    pub(crate) fn next_at(&self) -> u64 {
+        self.next_at
     }
 
-    pub(crate) fn capture(&mut self, st: &MachineState) {
+    pub(crate) fn capture(&mut self, st: &StateRef) {
         // profiler-only clock reads: zero syscalls when disabled
         let t0 = crate::opprof::enabled().then(std::time::Instant::now);
         let inj = std::mem::take(&mut self.inj_counts);
@@ -454,7 +499,7 @@ impl CheckpointCollector {
     /// Append one checkpoint of machine state `st` with injection counts
     /// `inj`, choosing keyframe vs delta by the configured policy. Shared
     /// by live capture and by `thin`'s re-encode.
-    fn push_entry(&mut self, st: &MachineState, inj: &[u64]) {
+    fn push_entry(&mut self, st: &StateRef, inj: &[u64]) {
         let idx = self.entries.len();
         let make_key = match self.mode {
             SnapshotMode::Full => true,
@@ -465,7 +510,7 @@ impl CheckpointCollector {
         };
         let entry = if make_key {
             let snap = Snapshot {
-                state: st.clone(),
+                state: st.to_state(),
                 inj_counts: inj.to_vec(),
             };
             StoredSnap {
@@ -491,13 +536,13 @@ impl CheckpointCollector {
         if self.mode == SnapshotMode::Delta {
             match &mut self.shadow {
                 Some(sh) => {
-                    sh.state.clone_from(st);
+                    st.write_into(&mut sh.state);
                     sh.inj_counts.clear();
                     sh.inj_counts.extend_from_slice(inj);
                 }
                 None => {
                     self.shadow = Some(Snapshot {
-                        state: st.clone(),
+                        state: st.to_state(),
                         inj_counts: inj.to_vec(),
                     })
                 }
@@ -541,7 +586,7 @@ impl CheckpointCollector {
                         }
                     }
                     if i % 2 == 1 {
-                        self.push_entry(&cur, &inj);
+                        self.push_entry(&cur.view(), &inj);
                     }
                 }
             }
@@ -555,27 +600,6 @@ impl CheckpointCollector {
             num_insts: self.inj_counts.len(),
             entries: self.entries,
         }
-    }
-
-    /// Materialize every stored checkpoint (compat surface for callers
-    /// that want plain [`Snapshot`]s; full-mode entries just move out).
-    pub(crate) fn into_snapshots(self) -> Vec<Snapshot> {
-        if self
-            .entries
-            .iter()
-            .all(|e| matches!(e.body, SnapBody::Key(_)))
-        {
-            return self
-                .entries
-                .into_iter()
-                .map(|e| match e.body {
-                    SnapBody::Key(s) => s,
-                    SnapBody::Delta(_) => unreachable!(),
-                })
-                .collect();
-        }
-        let store = self.into_store();
-        (0..store.len()).map(|i| store.materialize(i)).collect()
     }
 }
 
@@ -669,6 +693,26 @@ impl CheckpointStore {
         if let Some(t0) = t0 {
             crate::opprof::add_restore(t0.elapsed().as_nanos() as u64);
         }
+    }
+
+    /// Materialize every stored checkpoint (compat surface for callers
+    /// that want plain [`Snapshot`]s; full-mode entries just move out).
+    pub(crate) fn into_snapshots(self) -> Vec<Snapshot> {
+        if self
+            .entries
+            .iter()
+            .all(|e| matches!(e.body, SnapBody::Key(_)))
+        {
+            return self
+                .entries
+                .into_iter()
+                .map(|e| match e.body {
+                    SnapBody::Key(s) => s,
+                    SnapBody::Delta(_) => unreachable!(),
+                })
+                .collect();
+        }
+        (0..self.len()).map(|i| self.materialize(i)).collect()
     }
 
     /// Clone checkpoint `idx` out as a standalone [`Snapshot`].

@@ -738,7 +738,7 @@ mod tests {
                 st.steps = (i + 1) * 100;
                 st.inj_ctr = (i + 1) * 10;
                 coll.inj_counts[(i % 8) as usize] += 1;
-                coll.capture(&st);
+                coll.capture(&st.view());
             }
             let store = coll.into_store();
             let bytes = encode_checkpoints(&store);
@@ -771,7 +771,7 @@ mod tests {
     fn malformed_images_error_and_never_panic() {
         let store = {
             let mut coll = CheckpointCollector::new(CheckpointConfig::default(), 4);
-            coll.capture(&sample_state(1));
+            coll.capture(&sample_state(1).view());
             coll.into_store()
         };
         let good = encode_checkpoints(&store);

@@ -28,7 +28,10 @@ pub fn parse_log(text: &str) -> Result<Vec<TimedEvent>, (usize, SchemaError)> {
 pub struct StageStat {
     pub name: String,
     pub calls: u64,
+    /// Inclusive time: the spans' summed durations.
     pub total_us: u64,
+    /// Self time: inclusive time minus the time of directly nested spans.
+    pub self_us: u64,
 }
 
 /// One completed span instance, for the stage waterfall: begin/end pairs
@@ -302,6 +305,10 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
     let mut funcs: BTreeMap<String, OutcomeTally> = BTreeMap::new();
     // open spans by id, for waterfall begin/end pairing
     let mut open: BTreeMap<u64, u64> = BTreeMap::new();
+    // nesting: spans open in begin order, each with the summed duration
+    // of its finished children; a span's parent is whatever was open
+    // when it began
+    let mut nest: Vec<(u64, u64)> = Vec::new();
 
     for te in events {
         s.wall_us = s.wall_us.max(te.ts_us);
@@ -311,19 +318,31 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
             Event::SpanBegin { id, .. } => {
                 begun += 1;
                 open.insert(*id, te.ts_us);
+                nest.push((*id, 0));
             }
             Event::SpanEnd { id, name, dur_us } => {
                 ended += 1;
+                // a span missing its begin line (pre-v4 logs) has no
+                // known children and is attributed as top-level
+                let children_us = match nest.iter().rposition(|(open_id, _)| open_id == id) {
+                    Some(i) => nest.remove(i).1,
+                    None => 0,
+                };
+                if let Some((_, parent_children)) = nest.last_mut() {
+                    *parent_children += dur_us;
+                }
                 let st = stages.entry(name.clone()).or_insert_with(|| {
                     stage_order.push(name.clone());
                     StageStat {
                         name: name.clone(),
                         calls: 0,
                         total_us: 0,
+                        self_us: 0,
                     }
                 });
                 st.calls += 1;
                 st.total_us += dur_us;
+                st.self_us += dur_us.saturating_sub(children_us);
                 // waterfall entry: begin ts if paired, else derive from
                 // the end event (pre-v4 logs may lack the begin line)
                 let start_us = open
@@ -551,6 +570,13 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
     s
 }
 
+/// The time the stage shares are taken of: the summed duration of
+/// top-level spans, i.e. the root's wall time when one span encloses the
+/// run. Self times partition it exactly.
+pub fn root_time_us(s: &TraceSummary) -> u64 {
+    s.stages.iter().map(|st| st.self_us).sum()
+}
+
 fn secs(us: u64) -> f64 {
     us as f64 / 1e6
 }
@@ -641,19 +667,28 @@ pub fn render_markdown(s: &TraceSummary) -> String {
 
     if !s.stages.is_empty() {
         let _ = writeln!(out, "## Stage time breakdown\n");
+        let root_us = root_time_us(s);
         let _ = writeln!(
             out,
-            "| stage | calls | total s | share |\n|---|---|---|---|"
+            "Shares are of the top-level spans' {:.3} s. Inclusive time \
+             counts nested stages; self time excludes them, so self \
+             shares add up to 100%.\n",
+            secs(root_us)
         );
-        let denom: u64 = s.stages.iter().map(|st| st.total_us).sum();
+        let _ = writeln!(
+            out,
+            "| stage | calls | incl s | incl % | self s | self % |\n|---|---|---|---|---|---|"
+        );
         for st in &s.stages {
             let _ = writeln!(
                 out,
-                "| {} | {} | {:.3} | {:.1}% |",
+                "| {} | {} | {:.3} | {:.1}% | {:.3} | {:.1}% |",
                 st.name,
                 st.calls,
                 secs(st.total_us),
-                pct(st.total_us, denom)
+                pct(st.total_us, root_us),
+                secs(st.self_us),
+                pct(st.self_us, root_us)
             );
         }
         let _ = writeln!(out);
@@ -1205,6 +1240,49 @@ mod tests {
         assert_eq!(r.retries, 6);
         assert_eq!(r.quarantined_injections, 10);
         assert!((r.completeness - 0.89).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stage_table_takes_shares_of_the_root() {
+        // pipeline(100) ⊃ { search(30) ⊃ golden(10), fi(50) }
+        let span = |id, name: &str, begin: bool, dur| {
+            if begin {
+                Event::SpanBegin {
+                    id,
+                    name: name.into(),
+                }
+            } else {
+                Event::SpanEnd {
+                    id,
+                    name: name.into(),
+                    dur_us: dur,
+                }
+            }
+        };
+        let events = parse_log(&log_from(vec![
+            span(1, "minpsid_pipeline", true, 0),
+            span(2, "search", true, 0),
+            span(3, "golden_run", true, 0),
+            span(3, "golden_run", false, 10_000),
+            span(2, "search", false, 30_000),
+            span(4, "incubative_fi", true, 0),
+            span(4, "incubative_fi", false, 50_000),
+            span(1, "minpsid_pipeline", false, 100_000),
+        ]))
+        .unwrap();
+        let s = summarize(&events);
+        let by = |n: &str| s.stages.iter().find(|st| st.name == n).unwrap().clone();
+        assert_eq!(root_time_us(&s), 100_000);
+        assert_eq!(by("minpsid_pipeline").self_us, 20_000);
+        assert_eq!(by("search").total_us, 30_000);
+        assert_eq!(by("search").self_us, 20_000);
+        assert_eq!(by("golden_run").self_us, 10_000);
+        let md = render_markdown(&s);
+        assert!(
+            md.contains("| minpsid_pipeline | 1 | 0.100 | 100.0% | 0.020 | 20.0% |"),
+            "root row must read 100%:\n{md}"
+        );
+        assert!(md.contains("| search | 1 | 0.030 | 30.0% | 0.020 | 20.0% |"));
     }
 
     #[test]

@@ -219,7 +219,7 @@ fn main() {
 MC
 INCR_ARGS=(fi "$INCR_MC" --args i:32 --injections 400 --seed 7)
 rm -rf "$TRACE_TMP/incr-store"
-"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" \
+"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" --incremental \
   > "$TRACE_TMP/incr-cold.txt" 2> "$TRACE_TMP/incr-cold-err.txt"
 grep -Eq "[1-9][0-9]* tables sealed" "$TRACE_TMP/incr-cold-err.txt" \
   || { echo "cold run sealed no section tables"; exit 1; }
@@ -233,7 +233,7 @@ grep -q "return x + x;" "$INCR_MC"
 "$CLI" "${INCR_ARGS[@]}" > "$TRACE_TMP/incr-scratch.txt" 2>/dev/null
 # incremental re-campaign over the sealed store: composed report must
 # diff clean against from-scratch
-"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" \
+"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" --incremental \
   > "$TRACE_TMP/incr-warm.txt" 2> "$TRACE_TMP/incr-warm-err.txt"
 diff "$TRACE_TMP/incr-scratch.txt" "$TRACE_TMP/incr-warm.txt"
 # only the edited section (plus its caller) re-executed: >5x fewer
@@ -247,11 +247,11 @@ test "$INCR_SERVED" -gt 0 \
   || { echo "incremental re-campaign served nothing from tables"; exit 1; }
 test $((INCR_EXEC * 5)) -lt "$COLD_EXEC" \
   || { echo "re-campaign not O(diff): executed $INCR_EXEC of $COLD_EXEC cold injections"; exit 1; }
-# --no-incremental is the escape hatch: same store, no table layer
-"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" --no-incremental \
+# without --incremental (the default) the table layer stays off
+"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" \
   > /dev/null 2> "$TRACE_TMP/incr-off-err.txt"
 if grep -q "sections:" "$TRACE_TMP/incr-off-err.txt"; then
-  echo "--no-incremental still engaged the table layer"; exit 1
+  echo "a store-backed run without --incremental engaged the table layer"; exit 1
 fi
 echo "incremental smoke: cold $COLD_EXEC executed; edit re-ran $INCR_EXEC, served $INCR_SERVED"
 
@@ -301,17 +301,9 @@ for r in rows:
 sys.exit(1 if bad else 0)
 EOF
 
-echo "== interpreter-equivalence smoke (legacy vs decoded dispatch, 11 kernels)"
-# the pre-decoded hot loop and the legacy tree-walking loop must produce
-# byte-identical campaign reports on every workload in the suite — any
-# divergence in step counting, trap order or fault timing shows up here
-for K in xsbench hpccg fft knn pathfinder backprop bfs particlefilter kmeans lu needle; do
-  IEQ_ARGS=(fi "$K" --quick --seed 42 --injections 60 --per-inst 2 --quiet)
-  "$CLI" "${IEQ_ARGS[@]}" --dispatch legacy  > "$TRACE_TMP/ieq-legacy.txt" 2>/dev/null
-  "$CLI" "${IEQ_ARGS[@]}" --dispatch decoded > "$TRACE_TMP/ieq-decoded.txt" 2>/dev/null
-  diff "$TRACE_TMP/ieq-legacy.txt" "$TRACE_TMP/ieq-decoded.txt" \
-    || { echo "dispatch divergence on $K"; exit 1; }
-done
+echo "== snapshot-encoding smoke"
+# (the legacy-vs-decoded interpreter equivalence over all 11 kernels is
+# the tier-1 test tests/oracle_equivalence.rs)
 # snapshot encodings must not change reports either
 "$CLI" fi hpccg --quick --seed 42 --quiet --snapshot-mode full \
   > "$TRACE_TMP/snap-full.txt" 2>/dev/null
