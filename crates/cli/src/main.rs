@@ -18,8 +18,8 @@ use minpsid::{
     PipelineError,
 };
 use minpsid_faultsim::{
-    binomial_ci, golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
-    CampaignJournal, Deadline, FailureKind, Outcome, OutcomeCounts, ProgramCampaign, SchedSnapshot,
+    golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine, CampaignJournal,
+    Deadline, GoldenRun, Interrupted, Outcome, ProgramCampaign, ResolvedUnit, SchedSnapshot,
     Scheduler, TableMemo, TableStatsSnapshot,
 };
 use minpsid_interp::{ExecConfig, Interp, ProgInput, Scalar};
@@ -599,15 +599,13 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 
 fn cmd_fi(rest: &[String]) -> Result<(), String> {
     let name = first_arg(rest, "benchmark name")?;
-    if let Some(w) = parse_positive(rest, "--workers", "want a positive worker-process count")? {
-        if parse_deadline(rest)?.is_some() {
-            return Err(
-                "--workers does not combine with --deadline-secs; deadline-bounded \
-                 campaigns use the in-process --threads path"
-                    .into(),
-            );
-        }
-        return cmd_fi_fleet(name, rest, w as usize);
+    let workers = parse_positive(rest, "--workers", "want a positive worker-process count")?;
+    if workers.is_some() && parse_deadline(rest)?.is_some() {
+        return Err(
+            "--workers does not combine with --deadline-secs; deadline-bounded \
+             campaigns use the in-process --threads path"
+                .into(),
+        );
     }
     let module = load_module(name)?;
     let input = parse_input(name, rest)?;
@@ -617,12 +615,13 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
         Deadline::from_secs(parse_deadline(rest)?),
     );
     let store = open_run_store(rest)?;
-    let journal = open_fi_journal(rest, &module, &campaign, store.clone())?;
+    let journal = open_journal(rest, &module, fi_journal_key(&campaign), store.clone())?;
     let golden =
         golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
     let input_fp = input_fingerprint(&input);
-    let memo = match (parse_incremental(rest)?, &store) {
-        (true, Some(s)) => Some(TableMemo::new(s.clone(), input_fp)),
+    // table memoization is in-process only: fleet workers have no store
+    let memo = match (parse_incremental(rest)?, &store, workers) {
+        (true, Some(s), None) => Some(TableMemo::new(s.clone(), input_fp)),
         _ => None,
     };
     let mut engine =
@@ -633,22 +632,19 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
     if let Some(m) = &memo {
         engine = engine.with_tables(m);
     }
-    let c = match engine.run_program() {
-        Ok(c) => c,
-        Err(_) => {
-            let j = journal
-                .as_ref()
-                .expect("interrupts only surface under a journal");
-            return Err(fi_resume_hint(rest, j));
-        }
+    let c = match workers {
+        None => engine.run_program(),
+        Some(w) => fleet_campaign(&engine, name, rest, w as usize, &golden, journal.as_ref())?,
     };
+    let c = c.map_err(|_| match &journal {
+        Some(j) => resume_hint("fi", rest, j),
+        None => "interrupted before every injection finished \
+                 (add --journal DIR to make fleet runs resumable)"
+            .to_string(),
+    })?;
     print_fi_report(&c, &sched.snapshot())?;
     if let Some(j) = &journal {
-        let (served, appended) = j.usage();
-        diag!(
-            "journal: {served} injections served, {appended} records appended ({})",
-            j.dir().display()
-        );
+        diag!("journal: {}", journal_usage(j, "injections"));
     }
     if let Some(m) = &memo {
         table_stats_diag(&m.stats());
@@ -676,6 +672,21 @@ fn parse_incremental(rest: &[String]) -> Result<bool, String> {
         );
     }
     Ok(on)
+}
+
+/// What a journal did this run: outcomes served, records appended, and —
+/// when any append or sync failed — how many, since that work would not
+/// survive a crash.
+fn journal_usage(j: &CampaignJournal, served_what: &str) -> String {
+    let (served, appended) = j.usage();
+    let errors = match j.write_errors() {
+        0 => String::new(),
+        n => format!(", {n} write errors (not durable)"),
+    };
+    format!(
+        "{served} {served_what} served, {appended} records appended{errors} ({})",
+        j.dir().display()
+    )
 }
 
 /// One stderr line of section-table usage, the incremental analogue of
@@ -866,13 +877,13 @@ fn fi_journal_key(campaign: &CampaignConfig) -> u64 {
         ^ (campaign.injections as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// `fi --journal DIR` / `fi --resume DIR`: open (or refuse to resume a
-/// missing) campaign journal and install the interrupt handlers that
-/// make ^C / SIGTERM flush instead of corrupt.
-fn open_fi_journal(
+/// `--journal DIR` / `--resume DIR`: open (or refuse to resume a missing)
+/// campaign journal keyed by `config_fp`, and install the interrupt
+/// handlers that make ^C / SIGTERM flush instead of corrupt.
+fn open_journal(
     rest: &[String],
     module: &Module,
-    campaign: &CampaignConfig,
+    config_fp: u64,
     store: Option<Arc<ArtifactStore>>,
 ) -> Result<Option<CampaignJournal>, String> {
     let resume = flag_value(rest, "--resume");
@@ -892,7 +903,7 @@ fn open_fi_journal(
     let j = CampaignJournal::open_with_sections(
         &dir,
         module_fingerprint(module),
-        fi_journal_key(campaign),
+        config_fp,
         &module_section_map(module),
         store,
     )
@@ -905,7 +916,9 @@ fn open_fi_journal(
     Ok(Some(j))
 }
 
-fn fi_resume_hint(rest: &[String], j: &CampaignJournal) -> String {
+/// The error an interrupted journaled run exits with: `minpsid <cmd>`
+/// with the same flags, resuming from the journal.
+fn resume_hint(cmd: &str, rest: &[String], j: &CampaignJournal) -> String {
     let dir = j.dir().display().to_string();
     let mut args: Vec<String> = Vec::new();
     let mut skip = false;
@@ -921,7 +934,7 @@ fn fi_resume_hint(rest: &[String], j: &CampaignJournal) -> String {
         args.push(a.clone());
     }
     format!(
-        "interrupted; progress saved — resume with: minpsid fi {} --resume {dir}",
+        "interrupted; progress saved — resume with: minpsid {cmd} {} --resume {dir}",
         args.join(" ")
     )
 }
@@ -1025,65 +1038,22 @@ fn worker_args(name: &str, rest: &[String]) -> Vec<String> {
 
 /// `fi --workers N`: the process-isolated campaign fleet.
 ///
-/// The supervisor runs its own golden run (for the plan and a
-/// determinism cross-check), re-execs this binary as N `worker`
-/// processes, leases shards to them, and merges their spool segments in
-/// plan order. The printed report — and, under `--journal`, the WAL —
-/// is byte-identical to the in-process `--threads` path, including
-/// under `--chaos-kill-worker-ms` random kills; shards that keep
-/// killing workers are quarantined as poisoned instead of sinking the
-/// campaign.
-fn cmd_fi_fleet(name: &str, rest: &[String], workers: usize) -> Result<(), String> {
-    let module = load_module(name)?;
-    let input = parse_input(name, rest)?;
-    let campaign = parse_campaign(rest)?;
-    let sched = Scheduler::new(campaign.sched.clone(), Deadline::from_secs(None));
-    let injections = campaign.injections as u64;
-    let input_fp = input_fingerprint(&input);
-
-    let journal = open_fi_journal(rest, &module, &campaign, open_run_store(rest)?)?;
-    // Fleet runs are always interruptible: SIGTERM/SIGINT stop leasing,
-    // salvage finished units, and (when journaled) leave a resumable WAL.
-    install_interrupt_handlers();
-    interrupt::clear();
-
-    let golden =
-        golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
-    let population = golden.profile.injectable_execs;
-    if population == 0 || injections == 0 {
-        let c = ProgramCampaign {
-            counts: OutcomeCounts::default(),
-            sdc_ci: binomial_ci(0, 0, campaign.sched.ci_z),
-            planned: 0,
-            truncated: 0,
-            recovered: 0,
-        };
-        return print_fi_report(&c, &sched.snapshot());
-    }
-
-    sched.add_planned(injections);
-
-    // Probe the journal in plan order: served outcomes and honoured
-    // quarantines never reach a worker.
-    let mut served: Vec<Option<Outcome>> = vec![None; injections as usize];
-    let mut prequarantined = vec![false; injections as usize];
-    let mut units = Vec::with_capacity(injections as usize);
-    for i in 0..injections {
-        if let Some(j) = &journal {
-            if let Some(o) = j.program_outcome(input_fp, i).and_then(Outcome::from_u8) {
-                served[i as usize] = Some(o);
-                sched.note_completed(1);
-                continue;
-            }
-            if j.quarantined_site(input_fp, i).is_some() {
-                prequarantined[i as usize] = true;
-                sched.note_quarantine_skipped(1);
-                continue;
-            }
-        }
-        units.push(i);
-    }
-
+/// The supervisor (this process, with its own golden run for the plan
+/// and a determinism cross-check) re-execs this binary as N `worker`
+/// processes and leases them the units no journal record resolves. What
+/// the workers resolved then becomes the execute step of the engine's
+/// unit loop, so the printed report — and, under `--journal`, the WAL —
+/// is byte-identical to the in-process `--threads` path, including under
+/// `--chaos-kill-worker-ms` random kills; shards that keep killing
+/// workers are quarantined as poisoned instead of sinking the campaign.
+fn fleet_campaign(
+    engine: &CampaignEngine<'_>,
+    name: &str,
+    rest: &[String],
+    workers: usize,
+    golden: &GoldenRun,
+    journal: Option<&CampaignJournal>,
+) -> Result<Result<ProgramCampaign, Interrupted>, String> {
     let mut fcfg = minpsid_fleet::FleetConfig::new(workers);
     if let Some(ms) = parse_positive(rest, "--fleet-lease-ms", "want milliseconds")? {
         fcfg.lease_ms = ms;
@@ -1097,19 +1067,24 @@ fn cmd_fi_fleet(name: &str, rest: &[String], workers: usize) -> Result<(), Strin
     if let Some(ms) = parse_positive(rest, "--chaos-kill-worker-ms", "want milliseconds")? {
         fcfg.chaos_kill_worker_ms = Some(ms);
     }
-
-    let spool = match &journal {
+    let spool = match journal {
         Some(j) => j.dir().join("spool"),
         None => std::env::temp_dir().join(format!("minpsid-fleet-{}", std::process::id())),
     };
     let _ = std::fs::remove_dir_all(&spool);
-
     let exe = std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?;
     let wargs = worker_args(name, rest);
+
+    // Fleet runs are always interruptible: SIGTERM/SIGINT stop leasing,
+    // salvage finished units, and (when journaled) leave a resumable WAL.
+    install_interrupt_handlers();
+    interrupt::clear();
+    let units = engine.pending_program_units();
     diag!(
-        "fleet: {workers} worker processes over {} pending of {injections} planned injections",
+        "fleet: {workers} worker processes over {} pending injections",
         units.len()
     );
+    let population = golden.profile.injectable_execs;
     let fo = minpsid_fleet::run_fleet(&fcfg, &units, population, &spool, |k| {
         std::process::Command::new(&exe)
             .arg("worker")
@@ -1123,44 +1098,6 @@ fn cmd_fi_fleet(name: &str, rest: &[String], workers: usize) -> Result<(), Strin
             .spawn()
     })
     .map_err(|e| format!("fleet supervisor: {e}"))?;
-
-    // Merge in plan order: the journal (and the report) end up
-    // byte-identical to a single-process run over the same plan.
-    let mut counts = OutcomeCounts::default();
-    let mut recovered = 0u64;
-    let mut missing = 0u64;
-    for i in 0..injections {
-        let idx = i as usize;
-        if let Some(o) = served[idx] {
-            counts.record(o);
-            continue;
-        }
-        if prequarantined[idx] {
-            continue;
-        }
-        if let Some((byte, rec)) = fo.ledger.get(i) {
-            let o = Outcome::from_u8(byte)
-                .ok_or_else(|| format!("corrupt spool outcome byte {byte} for unit {i}"))?;
-            if let Some(j) = &journal {
-                j.record_program(input_fp, i, byte);
-            }
-            sched.note_completed(1);
-            counts.record(o);
-            recovered += u64::from(rec);
-        } else if fo.poisoned.contains(&i) {
-            if let Some(j) = &journal {
-                j.record_quarantine(input_fp, i, FailureKind::PoisonedShard.to_u8());
-            }
-            sched.note_quarantine_skipped(1);
-        } else {
-            missing += 1;
-        }
-    }
-    if let Some(j) = &journal {
-        j.sync().map_err(|e| format!("syncing journal: {e}"))?;
-    }
-    let _ = std::fs::remove_dir_all(&spool);
-
     if fo.stats.deaths > 0 || fo.stats.poisoned_shards > 0 || fo.stats.corrupt_segments > 0 {
         diag!(
             "fleet: {} spawns, {} deaths ({} chaos kills, {} lease expiries), \
@@ -1174,32 +1111,21 @@ fn cmd_fi_fleet(name: &str, rest: &[String], workers: usize) -> Result<(), Strin
             fo.stats.corrupt_segments
         );
     }
-    if fo.interrupted || missing > 0 {
-        return Err(match &journal {
-            Some(j) => fi_resume_hint(rest, j),
-            None => format!(
-                "interrupted with {missing} injections unfinished \
-                 (add --journal DIR to make fleet runs resumable)"
-            ),
-        });
-    }
 
-    let c = ProgramCampaign {
-        counts,
-        sdc_ci: binomial_ci(counts.sdc, counts.valid_total(), campaign.sched.ci_z),
-        planned: injections,
-        truncated: 0,
-        recovered,
+    // The fleet has already acted on any interrupt by no longer leasing;
+    // a unit nobody finished now surfaces as Missing, which leaves the
+    // run resumable rather than wrong.
+    interrupt::clear();
+    let resolved = |i: u64| match fo.ledger.get(i) {
+        Some((b, rec)) => {
+            Outcome::from_u8(b).map_or(ResolvedUnit::Missing, |o| ResolvedUnit::Done(o, rec))
+        }
+        None if fo.poisoned.contains(&i) => ResolvedUnit::Poisoned,
+        None => ResolvedUnit::Missing,
     };
-    print_fi_report(&c, &sched.snapshot())?;
-    if let Some(j) = &journal {
-        let (served, appended) = j.usage();
-        diag!(
-            "journal: {served} injections served, {appended} records appended ({})",
-            j.dir().display()
-        );
-    }
-    Ok(())
+    let c = engine.run_program_resolved(&resolved);
+    let _ = std::fs::remove_dir_all(&spool);
+    Ok(c)
 }
 
 /// Hidden subcommand: one fleet worker process. Protocol on
@@ -1468,53 +1394,16 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
         None => GoldenCache::with_capacity(cap),
     };
 
-    let resume = flag_value(rest, "--resume");
-    let journal_dir = flag_value(rest, "--journal").or_else(|| resume.clone());
-    let mut journal = None;
-    if let Some(dir) = &journal_dir {
-        let dir = std::path::PathBuf::from(dir);
-        if resume.is_some() && !dir.join("campaign.wal").is_file() {
-            return Err(format!(
-                "--resume: no journal found at {} (start one with --journal)",
-                dir.display()
-            ));
-        }
-        let j = CampaignJournal::open_with_sections(
-            &dir,
-            module_fingerprint(&module),
-            minpsid_config_fingerprint(&cfg),
-            &module_section_map(&module),
-            store.clone(),
-        )
-        .map_err(|e| format!("opening journal: {e}"))?;
-        let (recovered, truncated) = j.recovery_stats();
-        if recovered > 0 || truncated > 0 {
-            diag!(
-                "journal: recovered {recovered} records \
-                 ({truncated} torn-tail bytes truncated)"
-            );
-        }
-        install_interrupt_handlers();
-        journal = Some(j);
-    }
-
+    let journal = open_journal(
+        rest,
+        &module,
+        minpsid_config_fingerprint(&cfg),
+        store.clone(),
+    )?;
     let r = match &journal {
         Some(j) => match run_minpsid_journaled(&module, b.model.as_ref(), &cfg, &cache, j) {
             Ok(r) => r,
-            Err(PipelineError::Interrupted) => {
-                let mut resume_args: Vec<String> = rest
-                    .iter()
-                    .filter(|a| *a != "--journal" && *a != "--resume")
-                    .cloned()
-                    .collect();
-                resume_args.retain(|a| Some(a) != journal_dir.as_ref());
-                return Err(format!(
-                    "interrupted; progress saved — resume with: \
-                     minpsid minpsid {} --resume {}",
-                    resume_args.join(" "),
-                    j.dir().display()
-                ));
-            }
+            Err(PipelineError::Interrupted) => return Err(resume_hint("minpsid", rest, j)),
             Err(e) => return Err(format!("MINPSID failed: {e}")),
         },
         None => run_minpsid_cached(&module, b.model.as_ref(), &cfg, &cache)
@@ -1566,11 +1455,7 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
     }
     print_run_telemetry(&r.timings, &cache);
     if let Some(j) = &journal {
-        let (served, appended) = j.usage();
-        diag!(
-            "  journal        {served} injections/evals served, {appended} records appended ({})",
-            j.dir().display()
-        );
+        diag!("  journal        {}", journal_usage(j, "injections/evals"));
     }
     if let Some(ts) = &r.table_stats {
         table_stats_diag(ts);

@@ -185,6 +185,75 @@ fn poisoned_shard_is_quarantined_and_campaign_completes() {
     assert!(diag.contains("1 poisoned"), "stderr: {diag}");
 }
 
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).expect("create copy dir");
+    for e in std::fs::read_dir(from).expect("read dir") {
+        let e = e.expect("dir entry");
+        let dst = to.join(e.file_name());
+        if e.file_type().expect("file type").is_dir() {
+            copy_dir(&e.path(), &dst);
+        } else {
+            std::fs::copy(e.path(), dst).expect("copy file");
+        }
+    }
+}
+
+/// A journal holding a fleet-poisoned unit resumes to the same report
+/// whether the resume runs in-process (`--threads`) or in the fleet
+/// (`--workers`): both honour the journaled quarantine instead of
+/// re-executing the unit. Each resume gets its own copy of the journal,
+/// so neither can serve what the other appended.
+#[test]
+fn poisoned_journal_resumes_identically_in_process_and_in_the_fleet() {
+    let j = tmpdir("poison-journal");
+    let j_s = j.to_str().unwrap();
+    let base = ["fi", BENCH, "--quick", "--seed", "17"];
+    let mut p_args: Vec<&str> = base.to_vec();
+    p_args.extend([
+        "--workers",
+        "2",
+        "--chaos-poison-unit",
+        "5",
+        "--poison-after",
+        "2",
+        "--journal",
+        j_s,
+    ]);
+    let poisoned = minpsid(&p_args);
+    assert!(
+        poisoned.status.success(),
+        "poisoned run failed: {poisoned:?}"
+    );
+
+    let mut reports = Vec::new();
+    for (tag, flag) in [("threads", "--threads"), ("workers", "--workers")] {
+        let copy = tmpdir(&format!("poison-resume-{tag}"));
+        copy_dir(&j, &copy);
+        let copy_s = copy.to_str().unwrap();
+        let mut r_args: Vec<&str> = base.to_vec();
+        r_args.extend([flag, "2", "--resume", copy_s]);
+        let resumed = minpsid(&r_args);
+        assert!(resumed.status.success(), "{tag} resume failed: {resumed:?}");
+        reports.push(stdout_of(&resumed));
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+    assert!(
+        reports[0].contains("quarantined:"),
+        "the resume must honour the journaled quarantine: {}",
+        reports[0]
+    );
+    assert_eq!(
+        reports[0], reports[1],
+        "in-process and fleet resumes of one journal diverged"
+    );
+    assert_eq!(
+        reports[1],
+        stdout_of(&poisoned),
+        "a resume that serves everything must print the original report"
+    );
+    let _ = std::fs::remove_dir_all(&j);
+}
+
 /// SIGTERM mid-campaign: the journaled fleet run salvages finished
 /// units, exits with a resume hint, and a `--resume` run completes to
 /// a report byte-identical to an undisturbed one.

@@ -30,7 +30,7 @@ use minpsid_interp::{
     ProgInput, SnapshotMode, Termination,
 };
 use minpsid_ir::Module;
-use minpsid_sched::{binomial_ci, BinomialCi, SchedConfig, SiteStatus};
+use minpsid_sched::{BinomialCi, SchedConfig, SiteStatus};
 use minpsid_trace as trace;
 use std::time::Duration;
 
@@ -246,16 +246,6 @@ pub struct ProgramCampaign {
 impl ProgramCampaign {
     pub fn sdc_prob(&self) -> f64 {
         self.counts.sdc_prob()
-    }
-
-    pub(crate) fn empty(cfg: &CampaignConfig) -> ProgramCampaign {
-        ProgramCampaign {
-            counts: OutcomeCounts::default(),
-            sdc_ci: binomial_ci(0, 0, cfg.sched.ci_z),
-            planned: 0,
-            truncated: 0,
-            recovered: 0,
-        }
     }
 }
 

@@ -1,23 +1,34 @@
-//! The unified campaign execution engine: one plan → execute → reduce
-//! pipeline behind every campaign composition.
+//! The campaign engine: one plan → execute → reduce pipeline and one
+//! unit loop behind every fault-injection campaign.
 //!
-//! Four features grew onto the fault-injection loop one PR at a time —
-//! checkpointed replay, tracing, the crash-safe WAL journal, and the
-//! resilient scheduler — and each arrived as a forked entry point, until
-//! `campaign.rs` carried a 3×2 matrix of near-identical loop bodies.
-//! [`CampaignEngine`] folds that matrix back into one orchestration core
-//! with the features attached as *policy layers*:
+//! MINPSID runs two campaign shapes. Per-instruction FI measures each
+//! static instruction's SDC probability (the benefit SID's knapsack
+//! weighs); whole-program FI measures a binary's overall SDC rate (the
+//! coverage evaluation). Both are a [`CampaignPlan`] of work units, and
+//! every planned injection of either shape becomes an outcome through the
+//! same ordered chain of *outcome sources*:
 //!
-//! * **Scheduling** — retry/backoff, quarantine, early stop and the
-//!   wall-clock deadline live on a [`Scheduler`]. The engine owns an
-//!   unbounded one by default; [`CampaignEngine::with_scheduler`] attaches
-//!   a caller-owned (deadline-aware, shared-accounting) one instead.
-//! * **Journaling** — [`CampaignEngine::with_journal`] makes the run
-//!   crash-safe: recorded outcomes are served without re-execution, fresh
-//!   outcomes are appended, and a pending [`interrupt`] drains the run
-//!   into [`Interrupted`] with all finished work durable.
-//! * **Tracing** — counters, progress sampling and per-function outcome
-//!   events, active whenever the process-wide trace sink is.
+//! 1. **interrupt** — with a journal attached, a pending [`interrupt`]
+//!    stops the unit (everything finished stays durable);
+//! 2. **journal quarantine** — a unit the journal records as quarantined
+//!    is skipped outright;
+//! 3. **journal outcome** — a recorded outcome is served as is;
+//! 4. **sealed table** — a memoized section table ([`TableMemo`]) serves
+//!    the outcome, and the WAL still gets its record;
+//! 5. **deadline** — past the [`Scheduler`]'s deadline the unit's
+//!    remaining injections are truncated;
+//! 6. **execute** — the injection runs here under the scheduler's retry
+//!    loop, or, for a fleet run, its outcome is whatever the worker
+//!    processes resolved ([`CampaignEngine::run_program_resolved`]).
+//!
+//! Recorded outcomes therefore win over the deadline in both shapes.
+//! Whichever source answered, one post-injection step follows: the
+//! consecutive-failure count, quarantine after exhausted retries (a
+//! property of the per-instruction shape; a whole-program unit is a
+//! single injection), early stop, and — once per unit — one ordered WAL
+//! commit. The plan supplies everything that differs between the shapes:
+//! injections per unit, the fault each `(unit, k)` draws, journal keys
+//! and table kinds.
 //!
 //! Execution is parallel for **every** composition. Workers fan out over
 //! [`par_map_init`] and each result lands in its plan-ordered slot, so
@@ -28,19 +39,18 @@
 //! deterministic as the report while finished work still reaches disk
 //! *during* the run (a crash loses at most the in-flight units).
 //!
-//! Determinism contract (unchanged from the pre-engine code, verified by
-//! the equivalence tests): every injection's RNG is seeded only by
-//! `(cfg.seed, plan position)`, never by thread schedule or by which
-//! outcomes a journal served, so plain, scheduled, journaled and resumed
-//! runs of the same seed produce bit-identical reports.
+//! Determinism contract (verified by the equivalence tests): every
+//! injection's RNG is seeded only by `(cfg.seed, section fingerprint,
+//! position within the section)`, never by thread schedule, by which
+//! source served an outcome, or by which process executed it, so plain,
+//! scheduled, journaled, resumed and fleet runs of the same seed produce
+//! bit-identical reports.
 
 use crate::campaign::{CampaignConfig, GoldenRun, PerInstSdc, ProgramCampaign, PROGRESS_INTERVAL};
 use crate::outcome::{classify, Outcome, OutcomeCounts};
 use crate::parallel::par_map_init;
 use crate::table::{table_sig, PerInstTable, ProgramTable, TableKind, TableMemo};
-use minpsid_interp::{
-    ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput,
-};
+use minpsid_interp::{ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput};
 use minpsid_ir::{section_fingerprints, GlobalInstId, Module};
 use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
 use minpsid_sched::{
@@ -51,6 +61,7 @@ use minpsid_trace::{CampaignCounters, CampaignKind, Histogram, OutcomeKind};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -111,13 +122,10 @@ pub struct PerInstSection {
 /// journal writer) stable.
 #[derive(Debug, Clone)]
 pub enum CampaignPlan {
-    /// `injections` single-bit flips over `population` injectable dynamic
-    /// executions, stratified across `sections`.
-    Program {
-        injections: usize,
-        population: u64,
-        sections: Vec<ProgramSection>,
-    },
+    /// `cfg.injections` single-bit flips over the golden run's injectable
+    /// dynamic executions, stratified across `sections` (none when that
+    /// population is empty).
+    Program { sections: Vec<ProgramSection> },
     /// One unit per injectable, executed static instruction, grouped by
     /// enclosing function.
     PerInst {
@@ -126,11 +134,16 @@ pub enum CampaignPlan {
     },
 }
 
+/// A section's sealed table as one `(outcome, recovered)` stream per unit,
+/// in unit order.
+type SealedStreams = Vec<Vec<(u8, bool)>>;
+
 impl CampaignPlan {
-    /// Number of work units the executor fans out over.
+    /// Number of work units the executor fans out over. A program plan
+    /// over an empty population has none, whatever `injections` asked for.
     pub fn units(&self) -> usize {
         match self {
-            CampaignPlan::Program { injections, .. } => *injections,
+            CampaignPlan::Program { sections, .. } => sections.iter().map(|s| s.injections).sum(),
             CampaignPlan::PerInst { sections, .. } => sections.iter().map(|s| s.sites.len()).sum(),
         }
     }
@@ -138,13 +151,197 @@ impl CampaignPlan {
     /// Total injections the plan intends to run (the scheduler's
     /// `planned` figure).
     pub fn planned_injections(&self) -> u64 {
+        (self.units() * self.shape().1) as u64
+    }
+
+    /// The campaign kind, and injections per unit: one per program unit,
+    /// the per-site sample count per instruction site.
+    fn shape(&self) -> (CampaignKind, usize) {
         match self {
-            CampaignPlan::Program { injections, .. } => *injections as u64,
+            CampaignPlan::Program { .. } => (CampaignKind::Program, 1),
             CampaignPlan::PerInst {
-                sections,
                 injections_per_site,
-            } => {
-                (sections.iter().map(|s| s.sites.len()).sum::<usize>() * injections_per_site) as u64
+                ..
+            } => (CampaignKind::PerInst, *injections_per_site),
+        }
+    }
+
+    /// Flat plan positions of each section's units, in section order
+    /// (an empty program section shares its successor's start).
+    fn section_ranges(&self) -> Vec<Range<usize>> {
+        match self {
+            CampaignPlan::Program { sections, .. } => sections
+                .iter()
+                .map(|sec| sec.unit_base..sec.unit_base + sec.injections)
+                .collect(),
+            CampaignPlan::PerInst { sections, .. } => sections
+                .iter()
+                .map(|sec| sec.site_base..sec.site_base + sec.sites.len())
+                .collect(),
+        }
+    }
+
+    /// The unit's journal, quarantine and early-stop key: the flat plan
+    /// position of a program unit, the dense instruction index of a site.
+    fn key(&self, s: usize, local: usize) -> u64 {
+        match self {
+            CampaignPlan::Program { sections, .. } => (sections[s].unit_base + local) as u64,
+            CampaignPlan::PerInst { sections, .. } => sections[s].sites[local].0 as u64,
+        }
+    }
+
+    /// The fault injection `k` of unit `(s, local)` applies.
+    ///
+    /// The RNG stream is seeded by the section fingerprint and the
+    /// position within the section — never by the flat plan position — so
+    /// an unedited section draws the same faults whatever its neighbours
+    /// turned into, which is the determinism a memoized outcome table
+    /// relies on.
+    fn fault(&self, cfg: &CampaignConfig, s: usize, local: usize, k: usize) -> FaultSpec {
+        match self {
+            CampaignPlan::Program { sections, .. } => {
+                let sec = &sections[s];
+                let mut rng = StdRng::seed_from_u64(
+                    cfg.seed
+                        ^ splitmix64(sec.fp)
+                        ^ (local as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                let r = rng.random_range(0..sec.pop);
+                // map the section-local draw through the cumulative site counts
+                let idx = sec.prefix.partition_point(|&(_, cum)| cum <= r);
+                let (gid, _) = sec.prefix[idx];
+                let prev = if idx == 0 { 0 } else { sec.prefix[idx - 1].1 };
+                FaultSpec {
+                    target: FaultTarget::NthOfInst(gid, r - prev),
+                    bit: rng.random_range(0..64),
+                }
+            }
+            CampaignPlan::PerInst { sections, .. } => {
+                let sec = &sections[s];
+                let (_, gid, count) = sec.sites[local];
+                let mut rng = StdRng::seed_from_u64(
+                    cfg.seed
+                        ^ splitmix64(sec.fp)
+                        ^ (gid.inst.index() as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
+                        ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                FaultSpec {
+                    target: FaultTarget::NthOfInst(gid, rng.random_range(0..count)),
+                    bit: rng.random_range(0..64),
+                }
+            }
+        }
+    }
+
+    fn journal_outcome(&self, j: &CampaignJournal, fp: u64, key: u64, k: usize) -> Option<u8> {
+        match self {
+            CampaignPlan::Program { .. } => j.program_outcome(fp, key),
+            CampaignPlan::PerInst { .. } => j.per_inst_outcome(fp, key, k as u64),
+        }
+    }
+
+    fn outcome_record(&self, key: u64, k: usize, outcome: Outcome) -> PendingRecord {
+        match self {
+            CampaignPlan::Program { .. } => PendingRecord::Program {
+                index: key,
+                outcome: outcome.to_u8(),
+            },
+            CampaignPlan::PerInst { .. } => PendingRecord::PerInst {
+                site: key,
+                k: k as u64,
+                outcome: outcome.to_u8(),
+            },
+        }
+    }
+
+    /// Golden-context table signature of section `s`: the per-site
+    /// dynamic counts (in plan order) plus the section population pin
+    /// every fault target the section's RNG streams can draw.
+    fn section_sig(&self, cfg: &CampaignConfig, golden: &GoldenRun, s: usize) -> u64 {
+        match self {
+            CampaignPlan::Program { sections, .. } => {
+                let sec = &sections[s];
+                let mut counts = Vec::with_capacity(sec.prefix.len());
+                let mut prev = 0u64;
+                for &(_, cum) in &sec.prefix {
+                    counts.push(cum - prev);
+                    prev = cum;
+                }
+                table_sig(TableKind::Program, cfg, golden, &counts, sec.pop)
+            }
+            CampaignPlan::PerInst { sections, .. } => {
+                let counts: Vec<u64> = sections[s].sites.iter().map(|&(_, _, c)| c).collect();
+                let pop = counts.iter().sum();
+                table_sig(TableKind::PerInst, cfg, golden, &counts, pop)
+            }
+        }
+    }
+
+    /// Section `s`'s sealed table, if the memo holds a matching one. A
+    /// per-instruction site is keyed by its function-local instruction
+    /// index, which edits to other functions leave stable.
+    fn load_table(
+        &self,
+        memo: &TableMemo,
+        cfg: &CampaignConfig,
+        golden: &GoldenRun,
+        s: usize,
+    ) -> Option<SealedStreams> {
+        let sig = self.section_sig(cfg, golden, s);
+        match self {
+            CampaignPlan::Program { sections, .. } => memo
+                .load_program(sections[s].fp, sig)
+                .map(|t| t.units.into_iter().map(|u| vec![u]).collect()),
+            CampaignPlan::PerInst { sections, .. } => {
+                let sec = &sections[s];
+                let t = memo.load_per_inst(sec.fp, sig)?;
+                Some(
+                    sec.sites
+                        .iter()
+                        .map(|&(_, gid, _)| {
+                            let served = t.site(gid.inst.index() as u32).unwrap_or(&[]);
+                            served.iter().map(|&b| (b, false)).collect()
+                        })
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    /// Seal section `s`'s outcomes. Any unit the run could not finish
+    /// cleanly (deadline-truncated, unsampled, quarantined) marks the
+    /// table `complete: false` — a miss on every future load, so
+    /// deadline-starved runs never masquerade as finished ones.
+    fn seal_table(
+        &self,
+        memo: &TableMemo,
+        cfg: &CampaignConfig,
+        golden: &GoldenRun,
+        s: usize,
+        units: &[UnitResult],
+    ) {
+        let complete = units
+            .iter()
+            .all(|u| matches!(u.status, SiteStatus::Full | SiteStatus::EarlyStopped));
+        let sig = self.section_sig(cfg, golden, s);
+        match self {
+            CampaignPlan::Program { sections, .. } => {
+                // the leading run of units that produced an outcome
+                let units = units
+                    .iter()
+                    .map_while(|u| u.outcomes.first().map(|&b| (b, u.recovered > 0)))
+                    .collect();
+                memo.seal_program(sections[s].fp, sig, &ProgramTable { complete, units });
+            }
+            CampaignPlan::PerInst { sections, .. } => {
+                let sec = &sections[s];
+                let sites = sec
+                    .sites
+                    .iter()
+                    .zip(units)
+                    .map(|(&(_, gid, _), u)| (gid.inst.index() as u32, u.outcomes.clone()))
+                    .collect();
+                memo.seal_per_inst(sec.fp, sig, &PerInstTable { complete, sites });
             }
         }
     }
@@ -213,9 +410,11 @@ impl<'j> OrderedWriter<'j> {
         }
     }
 
-    /// Drain whatever is still buffered, in unit order. Interrupted runs
-    /// leave gaps (units that never committed); everything that *did*
-    /// complete still becomes durable.
+    /// Drain whatever is still buffered, in unit order, and sync the WAL.
+    /// Interrupted runs leave gaps (units that never committed);
+    /// everything that *did* complete still becomes durable. A failed
+    /// sync is counted on the journal for the front end to report:
+    /// durability degrades, the run goes on.
     fn finish(&self) {
         let mut st = self.state.lock().unwrap();
         for (_, batch) in std::mem::take(&mut st.pending) {
@@ -223,6 +422,7 @@ impl<'j> OrderedWriter<'j> {
                 self.append(&r);
             }
         }
+        let _ = self.journal.sync();
     }
 
     fn append(&self, r: &PendingRecord) {
@@ -242,7 +442,7 @@ impl<'j> OrderedWriter<'j> {
 }
 
 // ---------------------------------------------------------------------------
-// Execution helpers (shared by both campaign shapes)
+// Helpers
 // ---------------------------------------------------------------------------
 
 fn outcome_kind(o: Outcome) -> OutcomeKind {
@@ -271,50 +471,6 @@ fn outcome_tally(c: &OutcomeCounts) -> trace::OutcomeTally {
     }
 }
 
-/// Aggregate a per-instruction campaign's outcome counts by enclosing
-/// function and emit one `function_outcomes` event per touched function.
-fn emit_function_outcomes(
-    module: &Module,
-    targets: &[(usize, GlobalInstId, u64)],
-    counts: &[OutcomeCounts],
-) {
-    let mut per_func = vec![OutcomeCounts::default(); module.funcs.len()];
-    for &(dense, gid, _) in targets {
-        per_func[gid.func.index()].merge(&counts[dense]);
-    }
-    for (fi, agg) in per_func.iter().enumerate() {
-        if agg.total() > 0 {
-            trace::emit(trace::Event::FunctionOutcomes {
-                func: module.funcs[fi].name.clone(),
-                counts: outcome_tally(agg),
-            });
-        }
-    }
-}
-
-/// Run one injection: resume from the nearest safe snapshot when one
-/// exists (faults early in the trace may precede the first snapshot),
-/// otherwise replay from scratch. `st` is per-worker scratch whose buffers
-/// are reused across injections.
-fn inject(
-    interp: &Interp<'_>,
-    st: &mut ExecScratch,
-    golden: &GoldenRun,
-    input: &ProgInput,
-    fault: FaultSpec,
-) -> ExecResult {
-    let snap = match fault.target {
-        FaultTarget::NthDynamic(n) => golden.checkpoints.nearest_for_dynamic(n),
-        FaultTarget::NthOfInst(gid, n) => golden
-            .checkpoints
-            .nearest_for_inst(interp.dense_index(gid), n),
-    };
-    match snap {
-        Some(i) => interp.resume_from(st, &golden.checkpoints, i, input, fault),
-        None => interp.run_with_fault_in(st, input, fault),
-    }
-}
-
 /// Salt separating the timeout knob's failure-count stream from the panic
 /// knob's, so the two chaos classes fail for independent spans.
 const CHAOS_TIMEOUT_SALT: u64 = 0xA24B_AED4_963E_E407;
@@ -340,65 +496,9 @@ fn chaos_plan(cfg: &CampaignConfig, key: u64) -> Option<(FailureKind, u32)> {
     None
 }
 
-/// Flat injection index of the per-instruction campaign's (dense, k)
-/// pair, the chaos key shared by journaled and plain variants.
-fn per_inst_chaos_key(cfg: &CampaignConfig, dense: usize, k: usize) -> u64 {
-    (dense as u64) * (cfg.per_inst_injections as u64) + k as u64
-}
-
-/// One attempt at [`inject`], hardened for the retry loop: a panic
-/// anywhere inside the replay (an interpreter bug, or the chaos knob)
-/// surfaces as [`FailureKind::Panic`] instead of poisoning the worker
-/// pool, and a wall-clock blowout (real, or the timeout chaos knob)
-/// surfaces as [`FailureKind::Timeout`]. Both are retryable — they say
-/// something about the harness or the host, not the program under test.
-/// The panic still prints to stderr: a degraded run is visible, not
-/// silent.
-#[allow(clippy::too_many_arguments)]
-fn inject_attempt(
-    interp: &Interp<'_>,
-    st: &mut ExecScratch,
-    golden: &GoldenRun,
-    input: &ProgInput,
-    fault: FaultSpec,
-    chaos: Option<(FailureKind, u32)>,
-    attempt: u32,
-) -> AttemptResult<(Outcome, u64, u64)> {
-    let chaos_hit = matches!(chaos, Some((_, fails)) if attempt < fails);
-    if chaos_hit && matches!(chaos, Some((FailureKind::Timeout, _))) {
-        // a synthetic wall-clock kill: nothing executed, nothing to classify
-        return AttemptResult::Failed(FailureKind::Timeout);
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if chaos_hit {
-            panic!("chaos: injected worker panic (chaos_panic_one_in)");
-        }
-        inject(interp, st, golden, input, fault)
-    }));
-    match result {
-        Ok(r) => {
-            debug_assert!(r.fault_applied, "fault target within population");
-            let skipped = r.resumed_at.unwrap_or(0);
-            let executed = r.steps.saturating_sub(skipped);
-            match classify(&golden.output, &r) {
-                // a real wall-clock blowout reflects host pressure, not
-                // program behaviour — hand it to the retry loop
-                Outcome::EngineError => AttemptResult::Failed(FailureKind::Timeout),
-                o => AttemptResult::Ok((o, executed, skipped)),
-            }
-        }
-        Err(_) => {
-            // the panic may have left the per-worker scratch mid-run;
-            // drop it so the next attempt starts clean
-            *st = ExecScratch::default();
-            AttemptResult::Failed(FailureKind::Panic)
-        }
-    }
-}
-
-/// Drive one injection through the scheduler's retry loop. Exhaustion
-/// collapses to a final [`Outcome::EngineError`] with zero step counts;
-/// `recovered` is true when the outcome arrived only after ≥1 retry.
+/// One injection's resolved outcome. Exhausted retries collapse to a
+/// final [`Outcome::EngineError`] with zero step counts; `recovered` is
+/// true when the outcome arrived only after ≥1 retry.
 struct ResolvedInjection {
     outcome: Outcome,
     executed: u64,
@@ -407,224 +507,107 @@ struct ResolvedInjection {
     exhausted: Option<FailureKind>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn resolve_injection(
-    sched: &Scheduler,
-    kind: CampaignKind,
-    site: u64,
-    interp: &Interp<'_>,
-    st: &mut ExecScratch,
-    golden: &GoldenRun,
-    input: &ProgInput,
-    fault: FaultSpec,
-    chaos: Option<(FailureKind, u32)>,
-) -> ResolvedInjection {
-    match sched.run_task(kind, site, |attempt| {
-        inject_attempt(interp, st, golden, input, fault, chaos, attempt)
-    }) {
-        TaskResult::Done {
-            value: (outcome, executed, skipped),
-            retries,
-        } => ResolvedInjection {
+impl ResolvedInjection {
+    /// An outcome some other source already knew.
+    fn replayed(outcome: Outcome, recovered: bool) -> Self {
+        ResolvedInjection {
             outcome,
-            executed,
-            skipped,
-            recovered: retries > 0,
-            exhausted: None,
-        },
-        TaskResult::Exhausted { reason, .. } => ResolvedInjection {
-            outcome: Outcome::EngineError,
             executed: 0,
             skipped: 0,
-            recovered: false,
-            exhausted: Some(reason),
-        },
-    }
-}
-
-/// Execute program-campaign unit `i` (section-local index `j` within
-/// `sec`) — the body shared by [`CampaignEngine::run_program`] and the
-/// fleet's [`ProgramUnitExecutor`], so an out-of-process shard worker
-/// resolves exactly the outcome the in-process parallel executor would.
-///
-/// The RNG stream is seeded by `(cfg.seed, section fingerprint, j)` —
-/// never by the flat plan position — so an unedited section draws the
-/// same fault sequence whatever its neighbours turned into, which is the
-/// determinism a memoized outcome table relies on. Chaos and scheduler
-/// site keys stay flat: they describe harness behaviour, not the program
-/// under test.
-#[allow(clippy::too_many_arguments)]
-fn program_unit(
-    cfg: &CampaignConfig,
-    sched: &Scheduler,
-    interp: &Interp<'_>,
-    st: &mut ExecScratch,
-    golden: &GoldenRun,
-    input: &ProgInput,
-    sec: &ProgramSection,
-    j: usize,
-    i: usize,
-) -> ResolvedInjection {
-    let mut rng = StdRng::seed_from_u64(
-        cfg.seed ^ splitmix64(sec.fp) ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    let r = rng.random_range(0..sec.pop);
-    // map the section-local draw through the cumulative site counts
-    let idx = sec.prefix.partition_point(|&(_, cum)| cum <= r);
-    let (gid, _) = sec.prefix[idx];
-    let prev = if idx == 0 { 0 } else { sec.prefix[idx - 1].1 };
-    let fault = FaultSpec {
-        target: FaultTarget::NthOfInst(gid, r - prev),
-        bit: rng.random_range(0..64),
-    };
-    resolve_injection(
-        sched,
-        CampaignKind::Program,
-        i as u64,
-        interp,
-        st,
-        golden,
-        input,
-        fault,
-        chaos_plan(cfg, i as u64),
-    )
-}
-
-/// Golden-context table signature for a program section: the per-site
-/// dynamic counts (in plan order) plus the section population pin every
-/// fault target the section-local RNG stream can draw.
-fn program_sig(cfg: &CampaignConfig, golden: &GoldenRun, sec: &ProgramSection) -> u64 {
-    let mut counts = Vec::with_capacity(sec.prefix.len());
-    let mut prev = 0u64;
-    for &(_, cum) in &sec.prefix {
-        counts.push(cum - prev);
-        prev = cum;
-    }
-    table_sig(TableKind::Program, cfg, golden, &counts, sec.pop)
-}
-
-/// Golden-context table signature for a per-instruction section.
-fn per_inst_sig(cfg: &CampaignConfig, golden: &GoldenRun, sec: &PerInstSection) -> u64 {
-    let counts: Vec<u64> = sec.sites.iter().map(|&(_, _, c)| c).collect();
-    let pop = counts.iter().sum();
-    table_sig(TableKind::PerInst, cfg, golden, &counts, pop)
-}
-
-/// Seal each program section's outcomes after a completed (uninterrupted)
-/// run. A group fully served from an existing table is skipped — the
-/// sealed artifact may hold *more* units than this run's allocation
-/// (allocation drift after an edit elsewhere), and rewriting would
-/// discard them. A group containing a truncated unit seals
-/// `complete: false`: a miss on every future load, so deadline-starved
-/// runs never masquerade as finished ones.
-fn seal_program_sections(
-    memo: &TableMemo,
-    cfg: &CampaignConfig,
-    golden: &GoldenRun,
-    sections: &[ProgramSection],
-    loaded: &[Option<ProgramTable>],
-    results: &[UnitResult],
-) {
-    for (s, sec) in sections.iter().enumerate() {
-        if sec.injections == 0 {
-            continue;
+            recovered,
+            exhausted: None,
         }
-        let range = &results[sec.unit_base..sec.unit_base + sec.injections];
-        let any_fresh = range
-            .iter()
-            .any(|r| matches!(r, UnitResult::Done { fresh: true, .. }));
-        if loaded[s].is_some() && !any_fresh {
-            continue;
-        }
-        let mut units = Vec::with_capacity(range.len());
-        let mut complete = true;
-        for r in range {
-            match r {
-                UnitResult::Done {
-                    outcome, recovered, ..
-                } => units.push((outcome.to_u8(), *recovered)),
-                _ => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        memo.seal_program(
-            sec.fp,
-            program_sig(cfg, golden, sec),
-            &ProgramTable { complete, units },
-        );
     }
 }
 
-fn faulty_exec_config(cfg: &CampaignConfig, golden_steps: u64) -> ExecConfig {
-    ExecConfig {
-        profile: false,
-        step_limit: golden_steps.saturating_mul(cfg.hang_multiplier).max(10_000),
-        ..cfg.exec.clone()
-    }
+// ---------------------------------------------------------------------------
+// The unit loop
+// ---------------------------------------------------------------------------
+
+/// What an out-of-process executor made of one whole-program unit — the
+/// execute step of [`CampaignEngine::run_program_resolved`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResolvedUnit {
+    /// A classified outcome, and whether it needed a retry to get it.
+    Done(Outcome, bool),
+    /// The unit kept killing the processes that ran it; it is
+    /// quarantined as [`FailureKind::PoisonedShard`].
+    Poisoned,
+    /// Nobody finished it (the run was interrupted).
+    Missing,
 }
 
-/// How a program-campaign work unit ended. `fresh` distinguishes an
-/// interpreter execution from an outcome served by the journal or a
-/// memoized table — sealing skips groups with nothing newly executed.
-enum UnitResult {
-    Done {
-        outcome: Outcome,
-        recovered: bool,
-        fresh: bool,
+/// The unit loop's execute step.
+enum Execute<'e> {
+    Local(&'e Interp<'e>),
+    Resolved(&'e (dyn Fn(u64) -> ResolvedUnit + Sync)),
+}
+
+/// Which source produced an outcome.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Journal,
+    Table,
+    Fresh,
+}
+
+/// Where one injection's walk down the source chain ended.
+enum Step {
+    Outcome(ResolvedInjection, Source),
+    /// Quarantine the unit; `resumed` when the journal already says so.
+    Quarantine {
+        reason: FailureKind,
+        resumed: bool,
     },
     Truncated,
     Interrupted,
 }
 
-/// How one per-instruction site (one work unit) ended: the dense index
-/// and outcome tally the reducer keys on, the final site status, whether
-/// the unit ran to completion (vs interrupted), the recorded outcome
-/// bytes in injection order (what sealing writes), and whether any
-/// injection at this site executed fresh.
-struct SiteResult {
-    dense: usize,
+/// One work unit's coordinates: section, index within the section, flat
+/// plan position, journal key, and its sealed outcome stream if a table
+/// serves its section.
+#[derive(Clone, Copy)]
+struct Unit<'l> {
+    s: usize,
+    local: usize,
+    t: usize,
+    key: u64,
+    served: Option<&'l [(u8, bool)]>,
+}
+
+/// `(section, unit index within the section)` of plan position `t`: the
+/// last section starting at or before `t`.
+fn locate(ranges: &[Range<usize>], t: usize) -> (usize, usize) {
+    let s = ranges.partition_point(|r| r.start <= t) - 1;
+    (s, t - ranges[s].start)
+}
+
+/// How one work unit ended, whatever sources resolved its injections.
+struct UnitResult {
     counts: OutcomeCounts,
-    status: SiteStatus,
-    done: bool,
+    /// Outcome bytes in injection order (what sealing writes).
     outcomes: Vec<u8>,
+    /// Injections whose outcome arrived only after a retry.
+    recovered: u64,
+    status: SiteStatus,
+    /// False when an interrupt (or a missing remote outcome) stopped the
+    /// unit before it finished.
+    done: bool,
+    /// Whether any injection here executed now rather than being served
+    /// from the journal or a table — sealing skips groups with nothing
+    /// new.
     fresh: bool,
 }
 
-/// Seal each per-instruction section's outcome streams. Mirrors
-/// [`seal_program_sections`]: a group fully served from an existing table
-/// is left alone, and any site the run could not finish cleanly
-/// (deadline-truncated, unsampled, or quarantined) marks the whole group
-/// `complete: false` — a miss on every future load.
-fn seal_per_inst_sections(
-    memo: &TableMemo,
-    cfg: &CampaignConfig,
-    golden: &GoldenRun,
-    sections: &[PerInstSection],
-    loaded: &[Option<PerInstTable>],
-    per_site: &[SiteResult],
-) {
-    for (s, sec) in sections.iter().enumerate() {
-        let range = &per_site[sec.site_base..sec.site_base + sec.sites.len()];
-        let any_fresh = range.iter().any(|r| r.fresh);
-        if loaded[s].is_some() && !any_fresh {
-            continue;
+impl UnitResult {
+    /// Injections the deadline cut from this unit.
+    fn truncated(&self, per_unit: usize) -> u64 {
+        match self.status {
+            SiteStatus::Unsampled | SiteStatus::Truncated => {
+                (per_unit - self.outcomes.len()) as u64
+            }
+            _ => 0,
         }
-        let complete = range
-            .iter()
-            .all(|r| matches!(r.status, SiteStatus::Full | SiteStatus::EarlyStopped));
-        let sites: Vec<(u32, Vec<u8>)> = sec
-            .sites
-            .iter()
-            .zip(range)
-            .map(|(&(_, gid, _), r)| (gid.inst.index() as u32, r.outcomes.clone()))
-            .collect();
-        memo.seal_per_inst(
-            sec.fp,
-            per_inst_sig(cfg, golden, sec),
-            &PerInstTable { complete, sites },
-        );
     }
 }
 
@@ -636,8 +619,9 @@ fn seal_per_inst_sections(
 ///
 /// Construct with [`CampaignEngine::new`], attach policy layers with
 /// [`with_scheduler`](CampaignEngine::with_scheduler) /
-/// [`with_journal`](CampaignEngine::with_journal), then execute a
-/// campaign shape with [`run_program`](CampaignEngine::run_program) or
+/// [`with_journal`](CampaignEngine::with_journal) /
+/// [`with_tables`](CampaignEngine::with_tables), then execute a campaign
+/// shape with [`run_program`](CampaignEngine::run_program) or
 /// [`run_per_instruction`](CampaignEngine::run_per_instruction).
 ///
 /// ```text
@@ -687,11 +671,11 @@ impl<'a> CampaignEngine<'a> {
         self
     }
 
-    /// Attach a crash-safe journal layer: outcomes recorded under
-    /// `input_fp` are served without re-execution, fresh outcomes are
-    /// appended (in deterministic unit order, whatever the thread count),
-    /// and a pending [`interrupt`] returns [`Interrupted`] with all
-    /// finished work durable.
+    /// Attach a crash-safe journal layer: outcomes and quarantines
+    /// recorded under `input_fp` are served without re-execution, fresh
+    /// outcomes are appended (in deterministic unit order, whatever the
+    /// thread count), and a pending [`interrupt`] returns [`Interrupted`]
+    /// with all finished work durable.
     pub fn with_journal(mut self, journal: &'a CampaignJournal, input_fp: u64) -> Self {
         self.journal = Some((journal, input_fp));
         self
@@ -721,8 +705,123 @@ impl<'a> CampaignEngine<'a> {
     }
 
     /// The scheduler this engine executes under.
-    pub fn scheduler(&self) -> &Scheduler {
+    fn scheduler(&self) -> &Scheduler {
         self.sched.unwrap_or(&self.owned_sched)
+    }
+
+    /// The interpreter faulty runs execute on: profiling off, step limit
+    /// at `hang_multiplier` × the golden run.
+    fn faulty_interp(&self) -> Interp<'a> {
+        let cfg = self.cfg;
+        Interp::new(
+            self.module,
+            ExecConfig {
+                profile: false,
+                step_limit: self
+                    .golden
+                    .steps
+                    .saturating_mul(cfg.hang_multiplier)
+                    .max(10_000),
+                ..cfg.exec.clone()
+            },
+        )
+    }
+
+    /// Run injection `k` of unit `(s, local)` in this process, through the
+    /// scheduler's retry loop — the execute step shared by the unit loop
+    /// and [`ProgramUnitExecutor`], so an out-of-process shard worker
+    /// resolves exactly the outcome the in-process executor would. Chaos
+    /// and scheduler keys stay flat (`key × per_unit + k`): they describe
+    /// harness behaviour, not the program under test.
+    fn execute(
+        &self,
+        interp: &Interp<'_>,
+        st: &mut ExecScratch,
+        plan: &CampaignPlan,
+        (s, local): (usize, usize),
+        k: usize,
+    ) -> ResolvedInjection {
+        let fault = plan.fault(self.cfg, s, local, k);
+        let (kind, per_unit) = plan.shape();
+        let task = plan.key(s, local) * per_unit as u64 + k as u64;
+        let chaos = chaos_plan(self.cfg, task);
+        let attempt = |attempt| self.attempt(interp, st, fault, chaos, attempt);
+        match self.scheduler().run_task(kind, task, attempt) {
+            TaskResult::Done {
+                value: (outcome, executed, skipped),
+                retries,
+            } => ResolvedInjection {
+                outcome,
+                executed,
+                skipped,
+                recovered: retries > 0,
+                exhausted: None,
+            },
+            TaskResult::Exhausted { reason, .. } => ResolvedInjection {
+                exhausted: Some(reason),
+                ..ResolvedInjection::replayed(Outcome::EngineError, false)
+            },
+        }
+    }
+
+    /// One attempt, hardened for the retry loop: a panic anywhere inside
+    /// the replay (an interpreter bug, or the chaos knob) surfaces as
+    /// [`FailureKind::Panic`] instead of poisoning the worker pool, and a
+    /// wall-clock blowout (real, or the timeout chaos knob) surfaces as
+    /// [`FailureKind::Timeout`]. Both are retryable — they say something
+    /// about the harness or the host, not the program under test. The
+    /// panic still prints to stderr: a degraded run is visible, not
+    /// silent.
+    fn attempt(
+        &self,
+        interp: &Interp<'_>,
+        st: &mut ExecScratch,
+        fault: FaultSpec,
+        chaos: Option<(FailureKind, u32)>,
+        attempt: u32,
+    ) -> AttemptResult<(Outcome, u64, u64)> {
+        let chaos_hit = matches!(chaos, Some((_, fails)) if attempt < fails);
+        if chaos_hit && matches!(chaos, Some((FailureKind::Timeout, _))) {
+            // a synthetic wall-clock kill: nothing executed, nothing to classify
+            return AttemptResult::Failed(FailureKind::Timeout);
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if chaos_hit {
+                panic!("chaos: injected worker panic (chaos_panic_one_in)");
+            }
+            // resume from the nearest safe snapshot when one exists (faults
+            // early in the trace may precede the first), else from scratch
+            let checkpoints = &self.golden.checkpoints;
+            let snap = match fault.target {
+                FaultTarget::NthDynamic(n) => checkpoints.nearest_for_dynamic(n),
+                FaultTarget::NthOfInst(gid, n) => {
+                    checkpoints.nearest_for_inst(interp.dense_index(gid), n)
+                }
+            };
+            match snap {
+                Some(i) => interp.resume_from(st, checkpoints, i, self.input, fault),
+                None => interp.run_with_fault_in(st, self.input, fault),
+            }
+        }));
+        match result {
+            Ok(r) => {
+                debug_assert!(r.fault_applied, "fault target within population");
+                let skipped = r.resumed_at.unwrap_or(0);
+                let executed = r.steps.saturating_sub(skipped);
+                match classify(&self.golden.output, &r) {
+                    // a real wall-clock blowout reflects host pressure, not
+                    // program behaviour — hand it to the retry loop
+                    Outcome::EngineError => AttemptResult::Failed(FailureKind::Timeout),
+                    o => AttemptResult::Ok((o, executed, skipped)),
+                }
+            }
+            Err(_) => {
+                // the panic may have left the per-worker scratch mid-run;
+                // drop it so the next attempt starts clean
+                *st = ExecScratch::default();
+                AttemptResult::Failed(FailureKind::Panic)
+            }
+        }
     }
 
     /// Injectable sites per function: `(dense index, gid, dynamic count)`
@@ -799,11 +898,7 @@ impl<'a> CampaignEngine<'a> {
             }
             debug_assert_eq!(base, injections, "allocations sum to the plan size");
         }
-        CampaignPlan::Program {
-            injections,
-            population,
-            sections,
-        }
+        CampaignPlan::Program { sections }
     }
 
     /// The per-instruction plan: one unit per injectable, executed static
@@ -835,177 +930,262 @@ impl<'a> CampaignEngine<'a> {
         }
     }
 
-    /// Execute the whole-program campaign: `cfg.injections` single-bit
-    /// flips, each into a uniformly random dynamic instruction execution
-    /// and uniformly random bit, every outcome classified against the
-    /// golden run. Errs with [`Interrupted`] only when a journal is
-    /// attached and an interrupt is pending.
-    pub fn run_program(&self) -> Result<ProgramCampaign, Interrupted> {
-        let plan_span = trace::span("plan");
-        let (injections, population, sections) = match self.plan_program() {
-            CampaignPlan::Program {
-                injections,
-                population,
-                sections,
-            } => (injections, population, sections),
-            CampaignPlan::PerInst { .. } => unreachable!(),
-        };
-        drop(plan_span);
+    /// Walk injection `k` of a unit down the source chain: interrupt →
+    /// journal quarantine → journal outcome → sealed table → deadline →
+    /// execute.
+    fn step(
+        &self,
+        plan: &CampaignPlan,
+        exec: &Execute<'_>,
+        st: &mut ExecScratch,
+        unit: &Unit<'_>,
+        k: usize,
+    ) -> Step {
+        let Unit { s, local, key, .. } = *unit;
+        if let Some((j, fp)) = self.journal {
+            if interrupt::requested() {
+                return Step::Interrupted;
+            }
+            // the journal is the durable quarantine list: a unit given up
+            // on by an earlier (crashed or resumed) run is skipped outright
+            if let Some(b) = (k == 0).then(|| j.quarantined_site(fp, key)).flatten() {
+                let reason = FailureKind::from_u8(b).unwrap_or(FailureKind::Panic);
+                return Step::Quarantine {
+                    reason,
+                    resumed: true,
+                };
+            }
+            if let Some(o) = plan
+                .journal_outcome(j, fp, key, k)
+                .and_then(Outcome::from_u8)
+            {
+                return Step::Outcome(ResolvedInjection::replayed(o, false), Source::Journal);
+            }
+        }
+        // A sealed stream shorter than the unit means the sealing run
+        // stopped early here; the same stop re-derives before `k` reaches
+        // the end.
+        if let Some((o, rec)) = unit
+            .served
+            .and_then(|u| u.get(k))
+            .and_then(|&(b, rec)| Outcome::from_u8(b).map(|o| (o, rec)))
+        {
+            return Step::Outcome(ResolvedInjection::replayed(o, rec), Source::Table);
+        }
+        if self.scheduler().deadline_exceeded() {
+            return Step::Truncated;
+        }
+        match exec {
+            Execute::Local(interp) => {
+                Step::Outcome(self.execute(interp, st, plan, (s, local), k), Source::Fresh)
+            }
+            Execute::Resolved(f) => match f(unit.t as u64) {
+                ResolvedUnit::Done(o, rec) => {
+                    Step::Outcome(ResolvedInjection::replayed(o, rec), Source::Fresh)
+                }
+                ResolvedUnit::Poisoned => Step::Quarantine {
+                    reason: FailureKind::PoisonedShard,
+                    resumed: false,
+                },
+                ResolvedUnit::Missing => Step::Interrupted,
+            },
+        }
+    }
+
+    /// The unit loop both campaign shapes run: fan the plan's units out,
+    /// walk every injection down [`step`](Self::step)'s source chain,
+    /// apply the shared post-injection bookkeeping, commit each unit's
+    /// WAL records in plan order, seal section tables, and hand the
+    /// plan-ordered unit results to `reduce`. Errs with [`Interrupted`]
+    /// when a unit could not finish (journal interrupt, or an outcome a
+    /// resolved run never produced).
+    fn run_units<T>(
+        &self,
+        plan: &CampaignPlan,
+        exec: Execute<'_>,
+        reduce: impl FnOnce(&[UnitResult]) -> T,
+    ) -> Result<T, Interrupted> {
+        let units = plan.units();
+        if units == 0 {
+            return Ok(reduce(&[]));
+        }
         let cfg = self.cfg;
         let sched = self.scheduler();
-        if population == 0 || injections == 0 {
-            return Ok(ProgramCampaign::empty(cfg));
-        }
-        sched.add_planned(injections as u64);
-        let interp = Interp::new(self.module, faulty_exec_config(cfg, self.golden.steps));
+        let (kind, per_unit) = plan.shape();
+        // exhausted retries may quarantine a per-instruction site; a
+        // program unit is a single injection, so its exhaustion is simply
+        // recorded
+        let may_quarantine = kind == CampaignKind::PerInst;
+        sched.add_planned(plan.planned_injections());
         // capture once so workers pay no atomic load when tracing is off
         let tracing = trace::active();
-        let counters = CampaignCounters::new(CampaignKind::Program, injections as u64);
+        let counters = CampaignCounters::new(kind, plan.planned_injections());
         let suffix_steps = Histogram::new();
         let journal = self.journal;
         let writer = journal.map(|(j, fp)| OrderedWriter::new(j, fp));
         let memo = self.active_tables();
         // one verified load per section, before the fan-out: workers only
         // index the decoded tables
-        let loaded: Vec<Option<ProgramTable>> = sections
-            .iter()
-            .map(|sec| {
-                memo.filter(|_| sec.injections > 0)
-                    .and_then(|m| m.load_program(sec.fp, program_sig(cfg, self.golden, sec)))
+        let ranges = plan.section_ranges();
+        let loaded: Vec<Option<SealedStreams>> = (0..ranges.len())
+            .map(|s| {
+                memo.filter(|_| !ranges[s].is_empty())
+                    .and_then(|m| plan.load_table(m, cfg, self.golden, s))
             })
             .collect();
         let execute_span = trace::span("execute");
         let results = trace::sample_campaign(&counters, PROGRESS_INTERVAL, || {
-            par_map_init(injections, cfg.threads, ExecScratch::default, |st, i| {
-                if journal.is_some() && interrupt::requested() {
-                    return UnitResult::Interrupted;
-                }
-                // last section whose unit range begins at or before `i`
-                let s = sections.partition_point(|sec| sec.unit_base <= i) - 1;
-                let sec = &sections[s];
-                let j = i - sec.unit_base;
-                if let Some((jr, fp)) = journal {
-                    if let Some(o) = jr.program_outcome(fp, i as u64).and_then(Outcome::from_u8) {
-                        sched.note_completed(1);
-                        if tracing {
-                            counters.record(outcome_kind(o), 0, 0);
+            par_map_init(units, cfg.threads, ExecScratch::default, |st, t| {
+                let (s, local) = locate(&ranges, t);
+                let unit = Unit {
+                    s,
+                    local,
+                    t,
+                    key: plan.key(s, local),
+                    served: loaded[s]
+                        .as_ref()
+                        .and_then(|tab| tab.get(local))
+                        .map(Vec::as_slice),
+                };
+                let key = unit.key;
+                let mut u = UnitResult {
+                    counts: OutcomeCounts::default(),
+                    outcomes: Vec::new(),
+                    recovered: 0,
+                    status: SiteStatus::Full,
+                    done: true,
+                    fresh: false,
+                };
+                let mut records: Vec<PendingRecord> = Vec::new();
+                let mut consecutive = 0u32;
+                for k in 0..per_unit {
+                    let mut step = self.step(plan, &exec, st, &unit, k);
+                    if let Step::Outcome(r, source) = &step {
+                        if *source == Source::Fresh {
+                            u.fresh = true;
+                            if let Some(m) = memo {
+                                m.note_executed(1);
+                            }
                         }
-                        if let Some(w) = &writer {
-                            w.commit(i, Vec::new());
-                        }
-                        return UnitResult::Done {
-                            outcome: o,
-                            recovered: false,
-                            fresh: false,
+                        consecutive = if r.outcome == Outcome::EngineError {
+                            consecutive + 1
+                        } else {
+                            0
                         };
-                    }
-                }
-                if let Some((o, rec)) = loaded[s]
-                    .as_ref()
-                    .and_then(|t| t.units.get(j))
-                    .and_then(|&(b, rec)| Outcome::from_u8(b).map(|o| (o, rec)))
-                {
-                    // served from the sealed table; the WAL still gets a
-                    // real record so a resumed run's journal matches a
-                    // cold run's byte for byte
-                    sched.note_completed(1);
-                    if let Some(m) = memo {
-                        m.note_served(1);
-                    }
-                    if tracing {
-                        counters.record(outcome_kind(o), 0, 0);
-                        if rec {
-                            counters.record_recovered();
+                        if let Some(reason) = r.exhausted.filter(|_| may_quarantine) {
+                            // below the threshold, or past the cap, the
+                            // exhaustion degrades to a recorded EngineError
+                            if consecutive >= cfg.sched.quarantine_after.max(1)
+                                && sched.try_quarantine(kind, key, reason, consecutive)
+                            {
+                                step = Step::Quarantine {
+                                    reason,
+                                    resumed: false,
+                                };
+                            }
                         }
                     }
-                    if let Some(w) = &writer {
-                        w.commit(
-                            i,
-                            vec![PendingRecord::Program {
-                                index: i as u64,
-                                outcome: o.to_u8(),
-                            }],
-                        );
+                    match step {
+                        Step::Interrupted => {
+                            // partial work stays durable: the batch holds
+                            // everything this unit finished before
+                            u.done = false;
+                            break;
+                        }
+                        Step::Truncated => {
+                            u.status = if k == 0 {
+                                SiteStatus::Unsampled
+                            } else {
+                                SiteStatus::Truncated
+                            };
+                            break;
+                        }
+                        Step::Quarantine { reason, resumed } => {
+                            // the triggering injection and everything still
+                            // pending here are charged to quarantine, not
+                            // recorded as outcomes
+                            if resumed {
+                                sched.note_resumed_quarantine();
+                            } else if journal.is_some() {
+                                records.push(PendingRecord::Quarantine {
+                                    site: key,
+                                    reason: reason.to_u8(),
+                                });
+                            }
+                            let skip = (per_unit - k) as u64;
+                            sched.note_quarantine_skipped(skip);
+                            if tracing {
+                                counters.record_quarantined(skip);
+                            }
+                            u.status = SiteStatus::Quarantined(reason);
+                            break;
+                        }
+                        Step::Outcome(r, source) => {
+                            // served table outcomes still get a WAL record,
+                            // so a resumed run's journal matches a cold one
+                            if source != Source::Journal && journal.is_some() {
+                                records.push(plan.outcome_record(key, k, r.outcome));
+                            }
+                            if source == Source::Table {
+                                if let Some(m) = memo {
+                                    m.note_served(1);
+                                }
+                            }
+                            u.counts.record(r.outcome);
+                            u.outcomes.push(r.outcome.to_u8());
+                            u.recovered += u64::from(r.recovered);
+                            sched.note_completed(1);
+                            if tracing {
+                                counters.record(outcome_kind(r.outcome), r.executed, r.skipped);
+                                if r.recovered {
+                                    counters.record_recovered();
+                                }
+                                if source == Source::Fresh {
+                                    suffix_steps.record(r.executed);
+                                }
+                            }
+                            if k + 1 < per_unit {
+                                if let Some(hw) =
+                                    sched.early_stop(u.counts.sdc, u.counts.valid_total())
+                                {
+                                    let skip = (per_unit - k - 1) as u64;
+                                    sched.note_early_stop(kind, key, u.counts.total(), hw, skip);
+                                    u.status = SiteStatus::EarlyStopped;
+                                    break;
+                                }
+                            }
+                        }
                     }
-                    return UnitResult::Done {
-                        outcome: o,
-                        recovered: rec,
-                        fresh: false,
-                    };
                 }
-                if sched.deadline_exceeded() {
-                    if let Some(w) = &writer {
-                        w.commit(i, Vec::new());
-                    }
-                    return UnitResult::Truncated;
-                }
-                let r = program_unit(cfg, sched, &interp, st, self.golden, self.input, sec, j, i);
                 if let Some(w) = &writer {
-                    w.commit(
-                        i,
-                        vec![PendingRecord::Program {
-                            index: i as u64,
-                            outcome: r.outcome.to_u8(),
-                        }],
-                    );
+                    w.commit(t, records);
                 }
-                sched.note_completed(1);
-                if let Some(m) = memo {
-                    m.note_executed(1);
-                }
-                if tracing {
-                    counters.record(outcome_kind(r.outcome), r.executed, r.skipped);
-                    if r.recovered {
-                        counters.record_recovered();
-                    }
-                    suffix_steps.record(r.executed);
-                }
-                UnitResult::Done {
-                    outcome: r.outcome,
-                    recovered: r.recovered,
-                    fresh: true,
-                }
+                u
             })
         });
         drop(execute_span);
         if let Some(w) = &writer {
             w.finish();
         }
-        if tracing {
-            suffix_steps.emit("fi.program.suffix_steps");
+        if tracing && matches!(exec, Execute::Local(_)) {
+            suffix_steps.emit(&format!("fi.{}.suffix_steps", kind.as_str()));
         }
-        if journal.is_some()
-            && (results.iter().any(|r| matches!(r, UnitResult::Interrupted))
-                || interrupt::requested())
-        {
-            if let Some((j, _)) = journal {
-                let _ = j.sync();
-            }
+        if results.iter().any(|u| !u.done) || (journal.is_some() && interrupt::requested()) {
             return Err(Interrupted);
         }
         let _reduce_span = trace::span("reduce");
-        let mut counts = OutcomeCounts::default();
-        let mut truncated = 0u64;
-        let mut recovered = 0u64;
-        for r in &results {
-            match r {
-                UnitResult::Done {
-                    outcome,
-                    recovered: rec,
-                    ..
-                } => {
-                    counts.record(*outcome);
-                    if *rec {
-                        recovered += 1;
-                    }
-                }
-                UnitResult::Truncated => truncated += 1,
-                UnitResult::Interrupted => unreachable!("handled above"),
-            }
-        }
-        sched.note_truncated(CampaignKind::Program, truncated);
+        sched.note_truncated(kind, results.iter().map(|u| u.truncated(per_unit)).sum());
         if let Some(m) = memo {
-            seal_program_sections(m, cfg, self.golden, &sections, &loaded, &results);
+            for (s, table) in loaded.iter().enumerate() {
+                let range = &results[ranges[s].clone()];
+                // a group fully served from an existing table is left
+                // alone: the sealed artifact may hold *more* units than
+                // this run's allocation (drift after an edit elsewhere)
+                if range.is_empty() || (table.is_some() && !range.iter().any(|u| u.fresh)) {
+                    continue;
+                }
+                plan.seal_table(m, cfg, self.golden, s, range);
+            }
             let served = loaded.iter().filter(|t| t.is_some()).count() as u64;
             if served > 0 {
                 trace::emit(trace::Event::SectionEvent {
@@ -1015,18 +1195,71 @@ impl<'a> CampaignEngine<'a> {
                 });
             }
         }
-        if let Some((j, _)) = journal {
-            let _ = j.sync();
-        }
-        // engine errors carry no information about the program, so the CI
-        // is over the injections that produced a real outcome
-        let sdc_ci = binomial_ci(counts.sdc, counts.valid_total(), cfg.sched.ci_z);
-        Ok(ProgramCampaign {
-            counts,
-            sdc_ci,
-            planned: injections as u64,
-            truncated,
-            recovered,
+        Ok(reduce(&results))
+    }
+
+    /// Execute the whole-program campaign: `cfg.injections` single-bit
+    /// flips, each into a uniformly random dynamic instruction execution
+    /// and uniformly random bit, every outcome classified against the
+    /// golden run. Errs with [`Interrupted`] only when a journal is
+    /// attached and an interrupt is pending.
+    pub fn run_program(&self) -> Result<ProgramCampaign, Interrupted> {
+        self.program(Execute::Local(&self.faulty_interp()))
+    }
+
+    /// The whole-program campaign with its execute step supplied by an
+    /// out-of-process executor: `resolved(i)` says what became of plan
+    /// position `i`. Journal records, tables and the deadline still come
+    /// first, exactly as in [`run_program`](Self::run_program); a fresh
+    /// outcome is journaled like an executed one, a poisoned unit is
+    /// journaled as quarantined, and a missing one makes the run
+    /// [`Interrupted`] (journaled or not) once every present outcome is
+    /// durable.
+    pub fn run_program_resolved(
+        &self,
+        resolved: &(dyn Fn(u64) -> ResolvedUnit + Sync),
+    ) -> Result<ProgramCampaign, Interrupted> {
+        self.program(Execute::Resolved(resolved))
+    }
+
+    /// Plan positions of the whole-program campaign that no journal
+    /// record (outcome or quarantine) resolves yet — the units an
+    /// out-of-process executor still has to run. Probing here does not
+    /// count as journal use; the run that follows does.
+    pub fn pending_program_units(&self) -> Vec<u64> {
+        let units = self.plan_program().units() as u64;
+        (0..units)
+            .filter(|&i| {
+                self.journal
+                    .is_none_or(|(j, fp)| !j.resolves_program_unit(fp, i))
+            })
+            .collect()
+    }
+
+    fn program(&self, exec: Execute<'_>) -> Result<ProgramCampaign, Interrupted> {
+        let plan = {
+            let _plan_span = trace::span("plan");
+            self.plan_program()
+        };
+        let ci_z = self.cfg.sched.ci_z;
+        self.run_units(&plan, exec, |results| {
+            let mut counts = OutcomeCounts::default();
+            let mut truncated = 0u64;
+            let mut recovered = 0u64;
+            for u in results {
+                counts.merge(&u.counts);
+                truncated += u.truncated(1);
+                recovered += u.recovered;
+            }
+            // engine errors carry no information about the program, so
+            // the CI is over the injections that produced a real outcome
+            ProgramCampaign {
+                counts,
+                sdc_ci: binomial_ci(counts.sdc, counts.valid_total(), ci_z),
+                planned: plan.planned_injections(),
+                truncated,
+                recovered,
+            }
         })
     }
 
@@ -1034,335 +1267,53 @@ impl<'a> CampaignEngine<'a> {
     /// faults into uniformly random dynamic executions of every site in
     /// the plan. Engine failures are retried; persistently failing sites
     /// are quarantined; converged sites stop early; sites past the
-    /// deadline are truncated. Errs with [`Interrupted`] only when a
-    /// journal is attached and an interrupt is pending.
+    /// deadline are truncated unless their outcomes are already recorded.
+    /// Errs with [`Interrupted`] only when a journal is attached and an
+    /// interrupt is pending.
     pub fn run_per_instruction(&self) -> Result<PerInstSdc, Interrupted> {
-        let plan_span = trace::span("plan");
-        let (sections, planned) = match self.plan_per_instruction() {
-            CampaignPlan::PerInst {
-                sections,
-                injections_per_site,
-            } => (sections, injections_per_site),
-            CampaignPlan::Program { .. } => unreachable!(),
+        let plan = {
+            let _plan_span = trace::span("plan");
+            self.plan_per_instruction()
         };
-        drop(plan_span);
-        // flat plan-order site list, for the fan-out and the reducer
-        let sites: Vec<(usize, GlobalInstId, u64)> = sections
-            .iter()
-            .flat_map(|sec| sec.sites.iter().copied())
-            .collect();
-        let cfg = self.cfg;
-        let sched = self.scheduler();
+        let CampaignPlan::PerInst { sections, .. } = &plan else {
+            unreachable!("per-instruction plan")
+        };
         let n = self.module.numbering().len();
-        let interp = Interp::new(self.module, faulty_exec_config(cfg, self.golden.steps));
-        sched.add_planned((sites.len() * planned) as u64);
-        let tracing = trace::active();
-        let counters = CampaignCounters::new(CampaignKind::PerInst, (sites.len() * planned) as u64);
-        let journal = self.journal;
-        let writer = journal.map(|(j, fp)| OrderedWriter::new(j, fp));
-        let memo = self.active_tables();
-        let loaded: Vec<Option<PerInstTable>> = sections
-            .iter()
-            .map(|sec| {
-                memo.and_then(|m| m.load_per_inst(sec.fp, per_inst_sig(cfg, self.golden, sec)))
-            })
-            .collect();
-        let execute_span = trace::span("execute");
-        let per_site = trace::sample_campaign(&counters, PROGRESS_INTERVAL, || {
-            par_map_init(sites.len(), cfg.threads, ExecScratch::default, |st, t| {
-                let (dense, gid, count) = sites[t];
-                // last section whose site range begins at or before `t`
-                let s = sections.partition_point(|sec| sec.site_base <= t) - 1;
-                let sec = &sections[s];
-                let site = dense as u64;
-                let mut counts = OutcomeCounts::default();
-                let mut records: Vec<PendingRecord> = Vec::new();
-                let mut outcomes: Vec<u8> = Vec::new();
-                let mut fresh = false;
-                let commit = |records: Vec<PendingRecord>| {
-                    if let Some(w) = &writer {
-                        w.commit(t, records);
+        let sched = self.scheduler();
+        self.run_units(&plan, Execute::Local(&self.faulty_interp()), |results| {
+            let mut sdc_prob = vec![0.0; n];
+            let mut counts = vec![OutcomeCounts::default(); n];
+            let mut ci = vec![binomial_ci(0, 0, self.cfg.sched.ci_z); n];
+            let mut status = vec![SiteStatus::Unsampled; n];
+            // a section is one function: its units' counts are the
+            // per-function outcome distribution the trace reports
+            let mut rest = results;
+            for sec in sections {
+                let (group, tail) = rest.split_at(sec.sites.len());
+                rest = tail;
+                let mut func = OutcomeCounts::default();
+                for (&(dense, _, _), u) in sec.sites.iter().zip(group) {
+                    if u.status.trusted() {
+                        sdc_prob[dense] = u.counts.sdc_prob();
+                        ci[dense] = sched.site_ci(u.counts.sdc, u.counts.valid_total());
                     }
-                };
-                // a site quarantined by a previous (crashed or
-                // resumed) run is skipped outright: the journal is
-                // the durable quarantine list
-                if let Some((j, input_fp)) = journal {
-                    if let Some(b) = j.quarantined_site(input_fp, site) {
-                        let reason = FailureKind::from_u8(b).unwrap_or(FailureKind::Panic);
-                        sched.note_resumed_quarantine();
-                        sched.note_quarantine_skipped(planned as u64);
-                        if tracing {
-                            counters.record_quarantined(planned as u64);
-                        }
-                        commit(records);
-                        return SiteResult {
-                            dense,
-                            counts,
-                            status: SiteStatus::Quarantined(reason),
-                            done: true,
-                            outcomes,
-                            fresh,
-                        };
-                    }
+                    counts[dense] = u.counts;
+                    status[dense] = u.status;
+                    func.merge(&u.counts);
                 }
-                // the sealed table's outcome stream for this site, keyed
-                // by the instruction's function-local index (stable when
-                // other functions are edited)
-                let served: &[u8] = loaded[s]
-                    .as_ref()
-                    .and_then(|tab| tab.site(gid.inst.index() as u32))
-                    .unwrap_or(&[]);
-                let mut status = SiteStatus::Full;
-                let mut consecutive = 0u32;
-                for k in 0..planned {
-                    if journal.is_some() && interrupt::requested() {
-                        // partial work stays durable: the batch holds
-                        // everything this unit finished before the
-                        // interrupt
-                        commit(records);
-                        return SiteResult {
-                            dense,
-                            counts,
-                            status,
-                            done: false,
-                            outcomes,
-                            fresh,
-                        };
-                    }
-                    if sched.deadline_exceeded() {
-                        status = if k == 0 {
-                            SiteStatus::Unsampled
-                        } else {
-                            SiteStatus::Truncated
-                        };
-                        sched.note_truncated(CampaignKind::PerInst, (planned - k) as u64);
-                        break;
-                    }
-                    if let Some(o) = journal
-                        .and_then(|(j, fp)| j.per_inst_outcome(fp, site, k as u64))
-                        .and_then(Outcome::from_u8)
-                    {
-                        counts.record(o);
-                        outcomes.push(o.to_u8());
-                        sched.note_completed(1);
-                        consecutive = if o == Outcome::EngineError {
-                            consecutive + 1
-                        } else {
-                            0
-                        };
-                        if tracing {
-                            counters.record(outcome_kind(o), 0, 0);
-                        }
-                        if let Some(hw) = sched.early_stop(counts.sdc, counts.valid_total()) {
-                            if k + 1 < planned {
-                                let skip = (planned - k - 1) as u64;
-                                sched.note_early_stop(
-                                    CampaignKind::PerInst,
-                                    site,
-                                    counts.total(),
-                                    hw,
-                                    skip,
-                                );
-                                status = SiteStatus::EarlyStopped;
-                                break;
-                            }
-                        }
-                        continue;
-                    }
-                    // serve from the sealed table exactly as the journal
-                    // branch would: outcomes recorded, early stop
-                    // re-derived, never re-quarantined. A recorded
-                    // stream shorter than `planned` means the sealing
-                    // run stopped early at this site; the same stop
-                    // re-derives below before `k` ever reaches the end.
-                    if let Some(o) = served.get(k).copied().and_then(Outcome::from_u8) {
-                        counts.record(o);
-                        outcomes.push(o.to_u8());
-                        sched.note_completed(1);
-                        if let Some(m) = memo {
-                            m.note_served(1);
-                        }
-                        consecutive = if o == Outcome::EngineError {
-                            consecutive + 1
-                        } else {
-                            0
-                        };
-                        if tracing {
-                            counters.record(outcome_kind(o), 0, 0);
-                        }
-                        if journal.is_some() {
-                            records.push(PendingRecord::PerInst {
-                                site,
-                                k: k as u64,
-                                outcome: o.to_u8(),
-                            });
-                        }
-                        if let Some(hw) = sched.early_stop(counts.sdc, counts.valid_total()) {
-                            if k + 1 < planned {
-                                let skip = (planned - k - 1) as u64;
-                                sched.note_early_stop(
-                                    CampaignKind::PerInst,
-                                    site,
-                                    counts.total(),
-                                    hw,
-                                    skip,
-                                );
-                                status = SiteStatus::EarlyStopped;
-                                break;
-                            }
-                        }
-                        continue;
-                    }
-                    let mut rng = StdRng::seed_from_u64(
-                        cfg.seed
-                            ^ splitmix64(sec.fp)
-                            ^ (gid.inst.index() as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
-                            ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    let fault = FaultSpec {
-                        target: FaultTarget::NthOfInst(gid, rng.random_range(0..count)),
-                        bit: rng.random_range(0..64),
-                    };
-                    let chaos_key = per_inst_chaos_key(cfg, dense, k);
-                    let r = resolve_injection(
-                        sched,
-                        CampaignKind::PerInst,
-                        chaos_key,
-                        &interp,
-                        st,
-                        self.golden,
-                        self.input,
-                        fault,
-                        chaos_plan(cfg, chaos_key),
-                    );
-                    fresh = true;
-                    if let Some(m) = memo {
-                        m.note_executed(1);
-                    }
-                    if let Some(reason) = r.exhausted {
-                        consecutive += 1;
-                        if consecutive >= cfg.sched.quarantine_after.max(1)
-                            && sched.try_quarantine(
-                                CampaignKind::PerInst,
-                                site,
-                                reason,
-                                consecutive,
-                            )
-                        {
-                            // the triggering injection and everything
-                            // still pending at this site are charged
-                            // to quarantine, not recorded as outcomes
-                            if journal.is_some() {
-                                records.push(PendingRecord::Quarantine {
-                                    site,
-                                    reason: reason.to_u8(),
-                                });
-                            }
-                            let skip = (planned - k) as u64;
-                            sched.note_quarantine_skipped(skip);
-                            if tracing {
-                                counters.record_quarantined(skip);
-                            }
-                            status = SiteStatus::Quarantined(reason);
-                            break;
-                        }
-                        // cap reached or below the threshold: the
-                        // exhaustion degrades to a recorded EngineError
-                    } else {
-                        consecutive = 0;
-                    }
-                    if journal.is_some() {
-                        records.push(PendingRecord::PerInst {
-                            site,
-                            k: k as u64,
-                            outcome: r.outcome.to_u8(),
-                        });
-                    }
-                    counts.record(r.outcome);
-                    outcomes.push(r.outcome.to_u8());
-                    sched.note_completed(1);
-                    if tracing {
-                        counters.record(outcome_kind(r.outcome), r.executed, r.skipped);
-                        if r.recovered {
-                            counters.record_recovered();
-                        }
-                    }
-                    if let Some(hw) = sched.early_stop(counts.sdc, counts.valid_total()) {
-                        if k + 1 < planned {
-                            let skip = (planned - k - 1) as u64;
-                            sched.note_early_stop(
-                                CampaignKind::PerInst,
-                                site,
-                                counts.total(),
-                                hw,
-                                skip,
-                            );
-                            status = SiteStatus::EarlyStopped;
-                            break;
-                        }
-                    }
+                if func.total() > 0 && trace::active() {
+                    trace::emit(trace::Event::FunctionOutcomes {
+                        func: self.module.funcs[sec.func].name.clone(),
+                        counts: outcome_tally(&func),
+                    });
                 }
-                commit(records);
-                SiteResult {
-                    dense,
-                    counts,
-                    status,
-                    done: true,
-                    outcomes,
-                    fresh,
-                }
-            })
-        });
-        drop(execute_span);
-        if let Some(w) = &writer {
-            w.finish();
-        }
-
-        if journal.is_some() {
-            let complete = per_site.iter().all(|r| r.done);
-            if !complete || interrupt::requested() {
-                if let Some((j, _)) = journal {
-                    let _ = j.sync();
-                }
-                return Err(Interrupted);
             }
-        }
-        let _reduce_span = trace::span("reduce");
-        if let Some(m) = memo {
-            seal_per_inst_sections(m, cfg, self.golden, &sections, &loaded, &per_site);
-            let served = loaded.iter().filter(|t| t.is_some()).count() as u64;
-            if served > 0 {
-                trace::emit(trace::Event::SectionEvent {
-                    fp: 0,
-                    action: trace::SectionAction::Compose,
-                    units: served,
-                });
+            PerInstSdc {
+                sdc_prob,
+                counts,
+                ci,
+                status,
             }
-        }
-        let mut sdc_prob = vec![0.0; n];
-        let mut counts = vec![OutcomeCounts::default(); n];
-        let mut ci = vec![binomial_ci(0, 0, cfg.sched.ci_z); n];
-        let mut status = vec![SiteStatus::Unsampled; n];
-        for r in per_site {
-            if r.status.trusted() {
-                sdc_prob[r.dense] = r.counts.sdc_prob();
-                ci[r.dense] = sched.site_ci(r.counts.sdc, r.counts.valid_total());
-            }
-            counts[r.dense] = r.counts;
-            status[r.dense] = r.status;
-        }
-        if tracing {
-            emit_function_outcomes(self.module, &sites, &counts);
-        }
-        if let Some((j, _)) = journal {
-            let _ = j.sync();
-        }
-        Ok(PerInstSdc {
-            sdc_prob,
-            counts,
-            ci,
-            status,
         })
     }
 
@@ -1373,24 +1324,13 @@ impl<'a> CampaignEngine<'a> {
     /// outcome is identical to what [`run_program`](Self::run_program)
     /// would have produced at that plan position.
     pub fn program_executor(&self) -> ProgramUnitExecutor<'_> {
-        let (injections, population, sections) = match self.plan_program() {
-            CampaignPlan::Program {
-                injections,
-                population,
-                sections,
-            } => (injections, population, sections),
-            CampaignPlan::PerInst { .. } => unreachable!(),
-        };
+        let plan = self.plan_program();
         ProgramUnitExecutor {
-            cfg: self.cfg,
-            sched: self.scheduler(),
-            golden: self.golden,
-            input: self.input,
-            interp: Interp::new(self.module, faulty_exec_config(self.cfg, self.golden.steps)),
+            engine: self,
+            interp: self.faulty_interp(),
             scratch: ExecScratch::default(),
-            injections,
-            population,
-            sections,
+            ranges: plan.section_ranges(),
+            plan,
         }
     }
 }
@@ -1409,27 +1349,23 @@ impl<'a> CampaignEngine<'a> {
 /// schedule all derive from `(cfg, i)` — so at-least-once execution
 /// across worker deaths still reduces to exactly the `--threads` report.
 pub struct ProgramUnitExecutor<'e> {
-    cfg: &'e CampaignConfig,
-    sched: &'e Scheduler,
-    golden: &'e GoldenRun,
-    input: &'e ProgInput,
+    engine: &'e CampaignEngine<'e>,
     interp: Interp<'e>,
     scratch: ExecScratch,
-    injections: usize,
-    population: u64,
-    sections: Vec<ProgramSection>,
+    plan: CampaignPlan,
+    ranges: Vec<Range<usize>>,
 }
 
 impl ProgramUnitExecutor<'_> {
     /// Units in the plan (`cfg.injections`).
     pub fn injections(&self) -> usize {
-        self.injections
+        self.engine.cfg.injections
     }
 
     /// Injectable dynamic-execution population of the golden run. When
     /// zero the plan is empty and no unit may be run.
     pub fn population(&self) -> u64 {
-        self.population
+        self.engine.golden.profile.injectable_execs
     }
 
     /// Resolve unit `i`: `(classified outcome, recovered-via-retry)`.
@@ -1438,24 +1374,15 @@ impl ProgramUnitExecutor<'_> {
     /// the supervisor never leases such units.
     pub fn run_unit(&mut self, i: usize) -> (Outcome, bool) {
         assert!(
-            i < self.injections && self.population > 0,
+            i < self.plan.units(),
             "unit {i} outside plan ({} injections, population {})",
-            self.injections,
-            self.population
+            self.injections(),
+            self.population()
         );
-        let s = self.sections.partition_point(|sec| sec.unit_base <= i) - 1;
-        let sec = &self.sections[s];
-        let r = program_unit(
-            self.cfg,
-            self.sched,
-            &self.interp,
-            &mut self.scratch,
-            self.golden,
-            self.input,
-            sec,
-            i - sec.unit_base,
-            i,
-        );
+        let at = locate(&self.ranges, i);
+        let r = self
+            .engine
+            .execute(&self.interp, &mut self.scratch, &self.plan, at, 0);
         (r.outcome, r.recovered)
     }
 }

@@ -50,7 +50,7 @@ pub use campaign::{
 };
 pub use config::CampaignConfigBuilder;
 pub use engine::{
-    CampaignEngine, CampaignPlan, PerInstSection, ProgramSection, ProgramUnitExecutor,
+    CampaignEngine, CampaignPlan, PerInstSection, ProgramSection, ProgramUnitExecutor, ResolvedUnit,
 };
 pub use table::{table_sig, TableKind, TableMemo, TableStatsSnapshot, TABLE_ARTIFACT};
 // Interpreter knobs that ride on CampaignConfig, re-exported so front

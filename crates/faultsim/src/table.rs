@@ -451,53 +451,35 @@ impl TableMemo {
         }
     }
 
-    fn note_hit(&self, fp: u64, units: u64) {
-        self.stats.sections_hit.fetch_add(1, Ordering::Relaxed);
-        trace::emit(trace::Event::SectionEvent {
-            fp,
-            action: trace::SectionAction::Hit,
-            units,
-        });
-    }
-
-    fn note_stale(&self, fp: u64) {
-        self.stats.sections_missed.fetch_add(1, Ordering::Relaxed);
-        trace::emit(trace::Event::SectionEvent {
-            fp,
-            action: trace::SectionAction::Miss,
-            units: 0,
-        });
+    /// Count a decoded table as a hit (`units` outcomes it can serve) or,
+    /// when absent, stale or incomplete, as a miss.
+    fn verdict<T>(&self, fp: u64, t: Option<T>, units: impl Fn(&T) -> u64) -> Option<T> {
+        let (counter, action, units) = match &t {
+            Some(t) => (
+                &self.stats.sections_hit,
+                trace::SectionAction::Hit,
+                units(t),
+            ),
+            None => (&self.stats.sections_missed, trace::SectionAction::Miss, 0),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        trace::emit(trace::Event::SectionEvent { fp, action, units });
+        t
     }
 
     /// Load a sealed whole-program table for `(fp, sig)`. Incomplete
     /// tables (sealed under an expired deadline) are misses.
     pub(crate) fn load_program(&self, fp: u64, sig: u64) -> Option<ProgramTable> {
         let bytes = self.fetch(TableKind::Program, fp, sig)?;
-        match decode_program(&bytes, fp, self.input_fp, sig).filter(|t| t.complete) {
-            Some(t) => {
-                self.note_hit(fp, t.units.len() as u64);
-                Some(t)
-            }
-            None => {
-                self.note_stale(fp);
-                None
-            }
-        }
+        let t = decode_program(&bytes, fp, self.input_fp, sig).filter(|t| t.complete);
+        self.verdict(fp, t, |t| t.units.len() as u64)
     }
 
     /// Load a sealed per-instruction table for `(fp, sig)`.
     pub(crate) fn load_per_inst(&self, fp: u64, sig: u64) -> Option<PerInstTable> {
         let bytes = self.fetch(TableKind::PerInst, fp, sig)?;
-        match decode_per_inst(&bytes, fp, self.input_fp, sig).filter(|t| t.complete) {
-            Some(t) => {
-                self.note_hit(fp, t.total_outcomes());
-                Some(t)
-            }
-            None => {
-                self.note_stale(fp);
-                None
-            }
-        }
+        let t = decode_per_inst(&bytes, fp, self.input_fp, sig).filter(|t| t.complete);
+        self.verdict(fp, t, PerInstTable::total_outcomes)
     }
 
     /// Publish a table and point the section's ref at it. Best-effort: a

@@ -85,14 +85,13 @@ pub struct FleetStats {
     pub corrupt_segments: u64,
 }
 
-/// What the fleet computed: the merged per-unit ledger, the plan
-/// indices of poisoned shards, and whether the run was interrupted
-/// before every shard settled.
+/// What the fleet computed: the merged per-unit ledger and the plan
+/// indices of poisoned shards. Units in neither were cut off by an
+/// interrupt before their shard settled.
 #[derive(Debug)]
 pub struct FleetOutcome {
     pub ledger: OutcomeLedger,
     pub poisoned: BTreeSet<u64>,
-    pub interrupted: bool,
     pub stats: FleetStats,
 }
 
@@ -206,7 +205,6 @@ where
         return Ok(FleetOutcome {
             ledger,
             poisoned: BTreeSet::new(),
-            interrupted: false,
             stats,
         });
     }
@@ -611,7 +609,6 @@ where
     Ok(FleetOutcome {
         ledger,
         poisoned: table.poisoned_units().into_iter().collect(),
-        interrupted,
         stats,
     })
 }

@@ -279,6 +279,9 @@ pub struct CampaignJournal {
     served: AtomicU64,
     /// Records appended this run (fresh work).
     appended: AtomicU64,
+    /// Appends and syncs that failed this run. Each one is a span of
+    /// work a crash would not preserve.
+    write_errors: AtomicU64,
     recovered_records: u64,
     truncated_bytes: u64,
     dropped_records: u64,
@@ -412,6 +415,7 @@ impl CampaignJournal {
             writer: Mutex::new(writer),
             served: AtomicU64::new(0),
             appended: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
             recovered_records,
             truncated_bytes: recovery.truncated_bytes,
             dropped_records: recovery.dropped_records,
@@ -548,6 +552,7 @@ impl CampaignJournal {
             writer: Mutex::new(writer),
             served: AtomicU64::new(0),
             appended: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
             recovered_records,
             truncated_bytes: recovery.truncated_bytes,
             dropped_records: recovery.dropped_records,
@@ -564,15 +569,29 @@ impl CampaignJournal {
         self.state.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn append(&self, rec: Record) {
-        {
-            let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            // a failed append degrades durability, not correctness: the
-            // in-memory state stays right, so the run completes and only
-            // resumability of the un-appended span is lost
-            let _ = w.append(&rec);
+    /// Count a lookup hit as served (recovered) work.
+    fn serve<T>(&self, hit: Option<T>) -> Option<T> {
+        if hit.is_some() {
+            self.served.fetch_add(1, Ordering::Relaxed);
         }
-        self.appended.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    fn append(&self, rec: Record) {
+        let written = self
+            .writer
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .append(&rec);
+        // a failed append degrades durability, not correctness: the
+        // in-memory state stays right, so the run completes and only
+        // resumability of the un-appended span is lost — counted, so the
+        // front end can say so
+        let counter = match written {
+            Ok(()) => &self.appended,
+            Err(_) => &self.write_errors,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.write().unwrap_or_else(|e| e.into_inner());
         st.apply(rec);
     }
@@ -597,11 +616,7 @@ impl CampaignJournal {
     // --- per-injection outcomes ---
 
     pub fn per_inst_outcome(&self, input_fp: u64, dense: u64, k: u64) -> Option<u8> {
-        let hit = self.read().per_inst.get(&(input_fp, dense, k)).copied();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.serve(self.read().per_inst.get(&(input_fp, dense, k)).copied())
     }
 
     pub fn record_per_inst(&self, input_fp: u64, dense: u64, k: u64, outcome: u8) {
@@ -614,11 +629,16 @@ impl CampaignJournal {
     }
 
     pub fn program_outcome(&self, input_fp: u64, index: u64) -> Option<u8> {
-        let hit = self.read().program.get(&(input_fp, index)).copied();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.serve(self.read().program.get(&(input_fp, index)).copied())
+    }
+
+    /// Does a record (outcome or quarantine) already resolve program
+    /// unit `index`? A pure probe: unlike the serving lookups it does not
+    /// count toward [`usage`](Self::usage).
+    pub fn resolves_program_unit(&self, input_fp: u64, index: u64) -> bool {
+        let st = self.read();
+        st.program.contains_key(&(input_fp, index))
+            || st.quarantine.contains_key(&(input_fp, index))
     }
 
     pub fn record_program(&self, input_fp: u64, index: u64, outcome: u8) {
@@ -631,16 +651,14 @@ impl CampaignJournal {
 
     // --- quarantined injection sites ---
 
-    /// Is this (input, dense instruction) site quarantined? Returns the
-    /// failure-reason byte recorded when the scheduler gave up on it.
-    /// Resume consults this before sampling a site so a known-bad site is
-    /// skipped instead of re-exploding through its whole retry budget.
+    /// Is this unit quarantined? `dense` is a per-instruction site's dense
+    /// index or a whole-program unit's plan position. Returns the
+    /// failure-reason byte recorded when the unit was given up on. Resume
+    /// consults this before sampling a unit so a known-bad one is skipped
+    /// instead of re-exploding through its whole retry budget (or killing
+    /// fleet workers again).
     pub fn quarantined_site(&self, input_fp: u64, dense: u64) -> Option<u8> {
-        let hit = self.read().quarantine.get(&(input_fp, dense)).copied();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.serve(self.read().quarantine.get(&(input_fp, dense)).copied())
     }
 
     pub fn record_quarantine(&self, input_fp: u64, dense: u64, reason: u8) {
@@ -657,11 +675,7 @@ impl CampaignJournal {
     // --- GA evaluation memos ---
 
     pub fn eval_profile(&self, input_fp: u64) -> Option<Vec<u64>> {
-        let hit = self.read().eval.get(&input_fp).cloned();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.serve(self.read().eval.get(&input_fp).cloned())
     }
 
     pub fn record_eval(&self, input_fp: u64, cfg_list: &[u64]) {
@@ -722,8 +736,13 @@ impl CampaignJournal {
 
     /// Force every appended record to stable storage (end of a stage, or
     /// on the way out after an interrupt).
+    /// A failure also counts toward [`write_errors`](Self::write_errors).
     pub fn sync(&self) -> io::Result<()> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner()).sync()
+        let r = self.writer.lock().unwrap_or_else(|e| e.into_inner()).sync();
+        if r.is_err() {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        r
     }
 
     /// Rewrite the log as a compacted snapshot of the current state
@@ -764,6 +783,12 @@ impl CampaignJournal {
             self.served.load(Ordering::Relaxed),
             self.appended.load(Ordering::Relaxed),
         )
+    }
+
+    /// Appends and syncs that failed this run (0 when every record this
+    /// run produced is durable).
+    pub fn write_errors(&self) -> u64 {
+        self.write_errors.load(Ordering::Relaxed)
     }
 
     /// Emit the end-of-run `journal_stats` trace event.
@@ -853,6 +878,26 @@ mod tests {
         }
         let j = CampaignJournal::open(&dir, 1, 2).unwrap();
         assert_eq!(j.section_map().as_deref(), Some(&map[..]));
+    }
+
+    #[test]
+    fn failed_appends_are_counted_not_hidden() {
+        let dir = tmpdir("write-errors");
+        let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+        j.record_program(1, 0, 1);
+        assert_eq!((j.usage().1, j.write_errors()), (1, 0));
+        // a read-only handle: every write fails, even for root
+        let ro = std::fs::File::open(dir.join(WAL_FILE)).unwrap();
+        *j.writer.lock().unwrap() = WalWriter::over(ro);
+        j.record_program(1, 1, 2);
+        j.record_per_inst(1, 3, 0, 0);
+        assert_eq!(j.usage().1, 1, "a failed append is not an appended record");
+        assert_eq!(j.write_errors(), 2);
+        // the run itself goes on: the in-memory index still has both
+        assert!(j.resolves_program_unit(1, 1));
+        assert!(!j.resolves_program_unit(1, 2));
+        assert_eq!(j.usage().0, 0, "probing is not serving");
+        assert_eq!(j.per_inst_outcome(1, 3, 0), Some(0));
     }
 
     #[test]

@@ -168,6 +168,15 @@ impl WalWriter {
     /// window; process crashes lose nothing regardless).
     pub const FSYNC_EVERY: u32 = 64;
 
+    /// A writer appending at `file`'s current position.
+    pub(crate) fn over(file: File) -> WalWriter {
+        WalWriter {
+            file,
+            unsynced: 0,
+            fsync_every: WalWriter::FSYNC_EVERY,
+        }
+    }
+
     /// Override the automatic fsync cadence. `0` disables periodic
     /// fsync entirely: only explicit [`sync`](Self::sync) calls hit
     /// stable storage. Logs whose durability point is a single
@@ -240,14 +249,7 @@ pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
         file.write_all(&MAGIC)?;
         file.write_all(&VERSION.to_le_bytes())?;
         file.sync_data()?;
-        return Ok((
-            WalWriter {
-                file,
-                unsynced: 0,
-                fsync_every: WalWriter::FSYNC_EVERY,
-            },
-            Recovery::default(),
-        ));
+        return Ok((WalWriter::over(file), Recovery::default()));
     }
 
     let mut recovery = scan(&bytes);
@@ -289,14 +291,7 @@ pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
     use std::io::Seek;
     file.seek(io::SeekFrom::Start(recovery.valid_len))?;
     recovery.records.shrink_to_fit();
-    Ok((
-        WalWriter {
-            file,
-            unsynced: 0,
-            fsync_every: WalWriter::FSYNC_EVERY,
-        },
-        recovery,
-    ))
+    Ok((WalWriter::over(file), recovery))
 }
 
 /// Read-only scan of the log at `path`: recover the intact record prefix
@@ -324,11 +319,7 @@ pub fn rewrite_wal(path: &Path, records: &[Record]) -> io::Result<WalWriter> {
     let mut file = OpenOptions::new().write(true).open(path)?;
     use std::io::Seek;
     file.seek(io::SeekFrom::End(0))?;
-    Ok(WalWriter {
-        file,
-        unsynced: 0,
-        fsync_every: WalWriter::FSYNC_EVERY,
-    })
+    Ok(WalWriter::over(file))
 }
 
 #[cfg(test)]

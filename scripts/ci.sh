@@ -122,12 +122,22 @@ diff "$TRACE_TMP/fleet-threads.txt" "$TRACE_TMP/fleet-chaos.txt"
 cmp "$TRACE_TMP/fleet-j-threads/campaign.wal" "$TRACE_TMP/fleet-j-chaos/campaign.wal"
 # cell 2: a shard that aborts its worker on every attempt is quarantined
 # as poisoned; the campaign exits 0 with an honest (<1) completeness
+POISON_J="$TRACE_TMP/fleet-j-poison"
 POISON_OUT="$("$CLI" fi fft --quick --seed 42 --workers 2 \
-  --chaos-poison-unit 5 --poison-after 2 2>/dev/null)"
+  --chaos-poison-unit 5 --poison-after 2 --journal "$POISON_J" 2>/dev/null)"
 echo "$POISON_OUT" | grep -q "quarantined:" \
   || { echo "poisoned shard not surfaced in the report"; exit 1; }
 echo "$POISON_OUT" | grep -q "^completeness: 0\." \
   || { echo "poisoned shard not reflected in completeness"; exit 1; }
+# ... and its journal resumes to one report in-process and in the fleet:
+# both honour the journaled quarantine (each resume gets its own copy)
+cp -r "$POISON_J" "$POISON_J-threads"
+cp -r "$POISON_J" "$POISON_J-workers"
+"$CLI" fi fft --quick --seed 42 --threads 2 --resume "$POISON_J-threads" \
+  > "$TRACE_TMP/poison-resume-threads.txt" 2>/dev/null
+"$CLI" fi fft --quick --seed 42 --workers 2 --resume "$POISON_J-workers" \
+  > "$TRACE_TMP/poison-resume-workers.txt" 2>/dev/null
+diff "$TRACE_TMP/poison-resume-threads.txt" "$TRACE_TMP/poison-resume-workers.txt"
 # cell 3: SIGTERM a parked fleet run, then resume to an identical report
 "$CLI" fi fft --quick --seed 42 --threads 2 > "$TRACE_TMP/fleet-ref.txt" 2>/dev/null
 "$CLI" fi fft --quick --seed 42 --workers 2 --chaos-hang-unit 2 \

@@ -6,7 +6,8 @@
 //! SIGKILLed mid-run resumes from its WAL to the same bytes.
 
 use minpsid_repro::faultsim::{
-    golden_run, CampaignConfigBuilder, CampaignEngine, CampaignJournal, GoldenRun, Scheduler,
+    golden_run, CampaignConfigBuilder, CampaignEngine, CampaignJournal, Deadline, GoldenRun,
+    Scheduler,
 };
 use minpsid_repro::interp::ProgInput;
 use minpsid_repro::ir::Module;
@@ -83,6 +84,55 @@ fn all_engine_compositions_are_byte_identical_across_thread_counts() {
             );
         }
     }
+}
+
+/// One precedence for recorded outcomes versus the deadline: a journaled
+/// campaign run to completion, then resumed under an already-expired
+/// deadline, reports exactly what the unbounded run did. In both shapes
+/// every injection is answered by the journal before the deadline is
+/// consulted, so nothing is truncated.
+#[test]
+fn recorded_outcomes_are_served_past_an_expired_deadline() {
+    let (module, input) = bench_module("fft");
+    let cfg = CampaignConfigBuilder::new(7)
+        .injections(60)
+        .and_then(|b| b.per_inst_injections(4))
+        .and_then(|b| b.threads(2))
+        .expect("valid config")
+        .build();
+    let golden = golden_run(&module, &input, &cfg).expect("golden run");
+    let dir = journal_dir("deadline-precedence");
+    let cold = {
+        let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+        let engine = CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, 1);
+        (
+            format!("{:?}", engine.run_program().expect("no interrupt")),
+            format!("{:?}", engine.run_per_instruction().expect("no interrupt")),
+        )
+    };
+
+    let journal = CampaignJournal::open(&dir, 0, 0).expect("reopen journal");
+    let expired = Scheduler::new(cfg.sched.clone(), Deadline::from_secs(Some(0.0)));
+    assert!(expired.deadline_exceeded());
+    let engine = CampaignEngine::new(&module, &input, &golden, &cfg)
+        .with_scheduler(&expired)
+        .with_journal(&journal, 1);
+    let resumed = (
+        format!("{:?}", engine.run_program().expect("no interrupt")),
+        format!("{:?}", engine.run_per_instruction().expect("no interrupt")),
+    );
+    assert_eq!(
+        resumed.0, cold.0,
+        "program campaign truncated recorded outcomes"
+    );
+    assert_eq!(
+        resumed.1, cold.1,
+        "per-instruction campaign truncated recorded outcomes"
+    );
+    let snap = expired.snapshot();
+    assert_eq!(snap.truncated, 0);
+    assert_eq!(snap.completeness(), 1.0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Observability must be a pure observer: the same campaign run with the
